@@ -871,7 +871,7 @@ fn check_switching_entry(
 
 /// Guest-side image of the Figure 3 partition: below a nested-mode page,
 /// every page must be nested.
-fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) {
+pub(crate) fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) {
     for pid in vmm.processes() {
         let pages = vmm.gpt_pages(pid);
         let by_frame: HashMap<u64, GptPageMode> =

@@ -37,12 +37,13 @@
 //! script replays through the same runner path to the identical findings.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
-use crate::machine::Machine;
+use crate::machine::{Cursor, Machine};
 use crate::runner::json::Json;
 use crate::snapshot::{self, machine_findings};
-use agile_workloads::{Workload, WorkloadSpec};
+use agile_workloads::WorkloadSpec;
 
 /// One concurrency decision point reached during a run. The machine
 /// passes the point's identity to [`Scheduler::choose`] together with the
@@ -352,25 +353,24 @@ fn run_one<F: Fn() -> Machine>(
     }));
     let mut boundaries = Vec::new();
     let mut violation = None;
-    let mut events: u64 = 0;
-    for event in Workload::new(spec.clone()) {
-        machine.run_event(event);
-        events += 1;
-        let findings = machine_findings(&mut machine);
+    let mut check = |machine: &mut Machine, at: Cursor, _is_tick: bool| {
+        let findings = machine_findings(machine);
         if !findings.is_empty() {
-            violation = Some((events, findings));
-            break;
+            violation = Some((at.events, findings));
+            return ControlFlow::Break(());
         }
         // The dedup key is the byte-stable snapshot plus the workload
         // cursor: equal keys mean "same state, same remaining events" —
         // the suffix tree behind them is identical by determinism.
         let mut bytes = machine.snapshot().to_bytes();
-        bytes.extend_from_slice(&events.to_le_bytes());
+        bytes.extend_from_slice(&at.events.to_le_bytes());
         boundaries.push(Boundary {
             digest: snapshot::digest(&bytes),
             trail_len: trail.lock().expect("trail poisoned").len(),
         });
-    }
+        ControlFlow::Continue(())
+    };
+    machine.drive(spec, 0, Cursor::default(), &mut [&mut check]);
     drop(machine);
     let trail = trail.lock().expect("trail poisoned").clone();
     RunOutcome {

@@ -8,8 +8,7 @@ use crate::chaos::{
 };
 use crate::config::SystemConfig;
 use crate::profile::{FlushApplyStats, HotPathProfile};
-use crate::service::{CancelToken, StopCause};
-use crate::snapshot::{self, Checkpoint, CheckpointSlot, DiffIntent, MachineSnapshot, WorkerKill};
+use crate::snapshot::{self, DiffIntent, MachineSnapshot};
 use crate::stats::{HotCounters, KindCounts, RunStats};
 use crate::verify::{self, Violation, ViolationSite};
 use agile_guest::{FaultError, GuestOs, SegFault, Vma, VmaBacking};
@@ -22,6 +21,7 @@ use agile_types::{
 use agile_vmm::{coalesce, FaultOutcome, FlushRequest, HwRoots, Technique, Vmm};
 use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
 use agile_workloads::{Event, Workload, WorkloadSpec};
+use std::ops::ControlFlow;
 
 /// Why a data access could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,24 +83,6 @@ pub struct Machine {
     flush_batches: u64,
     /// Coalesced shootdown-application counters (see [`FlushApplyStats`]).
     flush_stats: FlushApplyStats,
-    /// Cooperative stop flag, polled at workload tick boundaries; `None`
-    /// until a control plane installs one via
-    /// [`Machine::set_cancel_token`].
-    cancel: Option<CancelToken>,
-    /// Why the last [`Machine::run_spec_measured`] stopped early, if it
-    /// did.
-    stopped: Option<StopCause>,
-    /// Checkpoint sink `(every_ticks, slot)`: when set, the run loop
-    /// stores a [`Checkpoint`] into the slot at every `every_ticks`-th
-    /// tick boundary (see [`Machine::set_checkpoint_sink`]).
-    checkpoint_sink: Option<(u64, CheckpointSlot)>,
-    /// Chaos crash trigger: panic with [`WorkerKill`] at this 1-based
-    /// tick of the current run attempt ([`Machine::set_kill_at_tick`]).
-    kill_at_tick: Option<u64>,
-    /// Checkpoint ring `(every_ticks, ring)`: like the sink, but keeping
-    /// the last K checkpoints for post-hoc violation bisection
-    /// ([`Machine::run_with_ring`], [`snapshot::bisect_violation`]).
-    checkpoint_ring: Option<(u64, snapshot::CheckpointRing)>,
     /// Interleaving scheduler ([`crate::explore::Scheduler`]): when
     /// installed, the machine's concurrency decision points — flush
     /// delivery order, deferred-shootdown timing, agile switch timing —
@@ -137,6 +119,46 @@ struct Baseline {
     traps: agile_vmm::VmtrapStats,
     os: agile_guest::OsStats,
     vmm: agile_vmm::VmmCounters,
+}
+
+/// Where a run stands in its workload: the resume state a
+/// [`crate::snapshot::Checkpoint`] stores beside its snapshot, and what
+/// [`Machine::drive`] hands its hooks after every event.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Cursor {
+    /// Workload events consumed; a resumed run skips exactly this many.
+    pub events: u64,
+    /// Tick events consumed: the 1-based tick of the latest boundary.
+    pub ticks: u64,
+    /// Whether the warm-up measurement trigger has not fired yet.
+    pub warmup_armed: bool,
+}
+
+impl Cursor {
+    /// The start of a run that excludes its first `warmup_accesses` data
+    /// accesses from measurement.
+    #[must_use]
+    pub fn start(warmup_accesses: u64) -> Self {
+        Cursor {
+            warmup_armed: warmup_accesses > 0,
+            ..Cursor::default()
+        }
+    }
+}
+
+/// A callback of [`Machine::drive`], called after every applied event.
+/// Ticks are the quiescent boundaries (flushes drained, interval policy
+/// run), so control-plane hooks act only when `is_tick` is set.
+/// Closures of the same shape implement it.
+pub trait RunHook {
+    /// Observes the machine after one event; `Break` stops the run there.
+    fn after_event(&mut self, machine: &mut Machine, at: Cursor, is_tick: bool) -> ControlFlow<()>;
+}
+
+impl<F: FnMut(&mut Machine, Cursor, bool) -> ControlFlow<()>> RunHook for F {
+    fn after_event(&mut self, machine: &mut Machine, at: Cursor, is_tick: bool) -> ControlFlow<()> {
+        self(machine, at, is_tick)
+    }
 }
 
 impl Machine {
@@ -176,72 +198,8 @@ impl Machine {
             alloc_mark: 0,
             flush_batches: 0,
             flush_stats: FlushApplyStats::default(),
-            cancel: None,
-            stopped: None,
-            checkpoint_sink: None,
-            kill_at_tick: None,
-            checkpoint_ring: None,
             scheduler: None,
         }
-    }
-
-    /// Installs the cooperative stop flag. The machine polls it at every
-    /// workload tick boundary — the quiescent point where pending
-    /// shootdowns have drained — and [`Machine::run_spec_measured`] returns
-    /// with the statistics accumulated so far instead of running to
-    /// completion. [`Machine::stop_cause`] reports what stopped it.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Why the last run stopped early (`None` when it ran to completion or
-    /// no run happened yet).
-    #[must_use]
-    pub fn stop_cause(&self) -> Option<StopCause> {
-        self.stopped
-    }
-
-    /// Installs the checkpoint sink: at every `every_ticks`-th tick
-    /// boundary of a run (a quiescent point — flushes drained, interval
-    /// policy run), the machine stores a full [`Checkpoint`] into `slot`.
-    /// Checkpointing reads the machine without mutating it, so a
-    /// checkpointed run's results are byte-identical to an unobserved one.
-    pub fn set_checkpoint_sink(&mut self, every_ticks: u64, slot: CheckpointSlot) {
-        self.checkpoint_sink = Some((every_ticks.max(1), slot));
-    }
-
-    /// Arms the chaos crash trigger: the run loop panics with
-    /// [`WorkerKill`] at the given 1-based tick of the current attempt,
-    /// *after* storing any due checkpoint — modeling a worker dying
-    /// mid-job with its latest checkpoint already durable.
-    pub fn set_kill_at_tick(&mut self, tick: u64) {
-        self.kill_at_tick = Some(tick.max(1));
-    }
-
-    /// Installs the checkpoint ring: at every `every_ticks`-th tick
-    /// boundary the machine pushes a full [`Checkpoint`] into `ring`,
-    /// which retains the last K of them. The recorded window is the
-    /// input to [`snapshot::bisect_violation`]. Like the sink,
-    /// ring-keeping reads the machine without mutating it.
-    pub fn set_checkpoint_ring(&mut self, every_ticks: u64, ring: snapshot::CheckpointRing) {
-        self.checkpoint_ring = Some((every_ticks.max(1), ring));
-    }
-
-    /// Runs a workload while recording a checkpoint ring: every
-    /// `every_ticks` ticks a checkpoint is pushed into a fresh
-    /// [`snapshot::CheckpointRing`] of capacity `keep`, which is returned
-    /// alongside the run's statistics for post-hoc bisection.
-    pub fn run_with_ring(
-        &mut self,
-        spec: &WorkloadSpec,
-        every_ticks: u64,
-        keep: usize,
-    ) -> (RunStats, snapshot::CheckpointRing) {
-        let ring = snapshot::CheckpointRing::new(keep);
-        self.set_checkpoint_ring(every_ticks, ring.clone());
-        let stats = self.run_spec(spec);
-        self.checkpoint_ring = None;
-        (stats, ring)
     }
 
     /// Installs an interleaving [`crate::explore::Scheduler`]: the
@@ -1718,7 +1676,18 @@ impl Machine {
                     if let Some(before) = before {
                         let after =
                             snapshot::TransitionView::capture_parts(&self.mem, &self.vmm, &self.os);
-                        let found = snapshot::diff(&before, &after, DiffIntent::TechniqueSwitch);
+                        let mut found =
+                            snapshot::diff(&before, &after, DiffIntent::TechniqueSwitch);
+                        // The after-state must also keep the Figure 3
+                        // split: shadow above, nested below.
+                        let mut partition = Vec::new();
+                        analyze::check_mode_partition(&self.mem, &self.vmm, &mut partition);
+                        found.extend(partition.into_iter().map(|d| Violation {
+                            site: ViolationSite::Transition,
+                            gva: d.gva,
+                            level: d.level,
+                            detail: d.detail,
+                        }));
                         self.record_violations(found);
                     }
                 }
@@ -1769,77 +1738,26 @@ impl Machine {
     /// table-construction costs are negligible there; in short simulations
     /// they are not, unless excluded).
     pub fn run_spec_measured(&mut self, spec: &WorkloadSpec, warmup_accesses: u64) -> RunStats {
-        self.run_spec_from(spec, warmup_accesses, 0, warmup_accesses > 0)
+        self.run_spec_from(
+            spec,
+            warmup_accesses,
+            Cursor::start(warmup_accesses),
+            &mut [],
+        )
     }
 
-    /// Runs `spec` from the middle: the first `skip_events` workload
-    /// events are regenerated and discarded (the restored snapshot already
-    /// contains their effects), then the rest are applied normally.
-    /// `armed` carries the warm-up trigger state across the resume (a
-    /// checkpoint's [`Checkpoint::warmup_armed`]). With `skip_events = 0`
-    /// this is exactly [`Machine::run_spec_measured`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with a [`WorkerKill`] payload when the chaos crash trigger
-    /// ([`Machine::set_kill_at_tick`]) fires.
+    /// [`Machine::drive`] followed by the end-of-run tail: the statistics
+    /// of the measurement window and, under paranoia, their cross-checks.
+    /// With `from = Cursor::start(warmup_accesses)` and no hooks this is
+    /// exactly [`Machine::run_spec_measured`].
     pub fn run_spec_from(
         &mut self,
         spec: &WorkloadSpec,
         warmup_accesses: u64,
-        skip_events: u64,
-        mut armed: bool,
+        from: Cursor,
+        hooks: &mut [&mut dyn RunHook],
     ) -> RunStats {
-        self.stopped = None;
-        let mut consumed: u64 = 0;
-        let mut run_ticks: u64 = 0;
-        for event in Workload::new(spec.clone()) {
-            consumed += 1;
-            if consumed <= skip_events {
-                continue;
-            }
-            let is_tick = matches!(&event, Event::Tick);
-            self.run_event(event);
-            if armed && self.hot.accesses >= warmup_accesses {
-                self.begin_measurement();
-                armed = false;
-            }
-            // Ticks are the quiescent boundaries (flushes drained,
-            // interval policy run): the checkpoint store, the chaos kill,
-            // and the cooperative cancellation point all live here, in
-            // that order — a killed worker's latest checkpoint is already
-            // durable, so recovery never replays from before it.
-            if is_tick {
-                run_ticks += 1;
-                if let Some((every, slot)) = self.checkpoint_sink.clone() {
-                    if run_ticks.is_multiple_of(every) {
-                        slot.store(Checkpoint {
-                            snapshot: self.snapshot(),
-                            events_consumed: consumed,
-                            warmup_armed: armed,
-                            ticks: run_ticks,
-                        });
-                    }
-                }
-                if let Some((every, ring)) = self.checkpoint_ring.clone() {
-                    if run_ticks.is_multiple_of(every) {
-                        ring.push(Checkpoint {
-                            snapshot: self.snapshot(),
-                            events_consumed: consumed,
-                            warmup_armed: armed,
-                            ticks: run_ticks,
-                        });
-                    }
-                }
-                if self.kill_at_tick == Some(run_ticks) {
-                    std::panic::panic_any(WorkerKill);
-                }
-                if let Some(cause) = self.cancel.as_ref().and_then(CancelToken::check) {
-                    self.stopped = Some(cause);
-                    break;
-                }
-            }
-        }
+        self.drive(spec, warmup_accesses, from, hooks);
         self.drain_write_trace();
         let stats = self.stats(&spec.name);
         if self.cfg.paranoia {
@@ -1847,6 +1765,43 @@ impl Machine {
             self.record_violations(found);
         }
         stats
+    }
+
+    /// The one event loop. Regenerates `spec`'s events, skips the
+    /// `from.events` a restored snapshot already contains, and applies the
+    /// rest. After each applied event it opens the measurement window once
+    /// `warmup_accesses` accesses have run (while `from.warmup_armed`),
+    /// then calls every hook in order with the updated cursor. The first
+    /// hook that breaks stops the run after that event; the later hooks
+    /// are not called for it. Returns the cursor of the last applied
+    /// event.
+    pub fn drive(
+        &mut self,
+        spec: &WorkloadSpec,
+        warmup_accesses: u64,
+        from: Cursor,
+        hooks: &mut [&mut dyn RunHook],
+    ) -> Cursor {
+        let mut at = from;
+        let skip = usize::try_from(from.events).unwrap_or(usize::MAX);
+        for event in Workload::new(spec.clone()).skip(skip) {
+            let is_tick = matches!(&event, Event::Tick);
+            self.run_event(event);
+            at.events += 1;
+            if is_tick {
+                at.ticks += 1;
+            }
+            if at.warmup_armed && self.hot.accesses >= warmup_accesses {
+                self.begin_measurement();
+                at.warmup_armed = false;
+            }
+            for hook in hooks.iter_mut() {
+                if hook.after_event(self, at, is_tick).is_break() {
+                    return at;
+                }
+            }
+        }
+        at
     }
 
     /// Snapshots the statistics collected since the measurement window
@@ -1925,9 +1880,9 @@ impl Machine {
     }
 
     /// Restores `snap` into this machine, replacing all simulated state.
-    /// Control-plane wiring (cancel token, checkpoint sink, kill trigger)
-    /// is untouched; the chaos arming and tracing enablement must match
-    /// the snapshot's (arm the same plan before restoring).
+    /// Control-plane wiring (the scheduler) is untouched; the chaos arming
+    /// and tracing enablement must match the snapshot's (arm the same plan
+    /// before restoring).
     ///
     /// # Errors
     ///
@@ -1961,9 +1916,9 @@ impl Machine {
 
     /// Serializes all simulated state in declaration order. The encoding
     /// is the deterministic codec of [`agile_types::codec`]; cooperative
-    /// control-plane state (cancel token, checkpoint sink, kill trigger,
-    /// stop cause) is deliberately excluded — it belongs to the worker,
-    /// not the simulation.
+    /// control-plane state (the scheduler, and the run hooks of
+    /// [`Machine::drive`]) is deliberately excluded — it belongs to the
+    /// worker, not the simulation.
     fn save_state(&self, e: &mut Enc) {
         self.mem.save_state(e);
         self.vmm.save_state(e);
@@ -2052,7 +2007,6 @@ impl Machine {
         self.alloc_mark = d.u64()?;
         self.flush_batches = d.u64()?;
         self.flush_stats = FlushApplyStats::load(d)?;
-        self.stopped = None;
         Ok(())
     }
 }
@@ -2095,7 +2049,7 @@ fn flush_gva(req: &FlushRequest) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agile_vmm::AgileOptions;
+    use agile_vmm::{AgileOptions, GptPageMode};
 
     fn small_spec(accesses: u64) -> WorkloadSpec {
         WorkloadSpec {
@@ -2190,20 +2144,50 @@ mod tests {
             let stats = m.run_spec(&spec);
             (stats.accesses, stats.tlb, m.snapshot().to_bytes())
         };
-        let slot = crate::snapshot::CheckpointSlot::new();
+        let ring = crate::snapshot::CheckpointRing::new(1);
         let mut first = Machine::new(cfg);
-        first.set_checkpoint_sink(2, slot.clone());
-        first.run_spec(&spec);
-        assert!(slot.stores() > 0, "checkpoints were taken");
-        let cp = slot.latest().expect("checkpointed");
+        first.run_spec_from(&spec, 0, Cursor::default(), &mut [&mut ring.every(2)]);
+        assert!(ring.stores() > 0, "checkpoints were taken");
+        let cp = ring.take().expect("checkpointed");
         let mut resumed = Machine::restore(cfg, &cp.snapshot).expect("restores");
-        let stats = resumed.run_spec_from(&spec, 0, cp.events_consumed, cp.warmup_armed);
+        let stats = resumed.run_spec_from(&spec, 0, cp.cursor, &mut []);
         assert_eq!(stats.accesses, straight.0);
         assert_eq!(stats.tlb, straight.1);
         assert_eq!(
             resumed.snapshot().to_bytes(),
             straight.2,
             "final state matches"
+        );
+    }
+
+    #[test]
+    fn malformed_partition_is_a_transition_violation() {
+        // SHSP's nested phase keeps every guest table page nested. Mark
+        // one below the root synced: the walk path would switch back from
+        // nested to shadow, breaking the Figure 3 split.
+        let cfg = SystemConfig::new(Technique::Shsp(agile_vmm::ShspOptions::default()));
+        let mut m = Machine::new(cfg.with_paranoia(true));
+        m.run_spec(&small_spec(1_000));
+        assert!(m.violations().is_empty(), "clean before the corruption");
+        let pid = m.current_pid();
+        let root = m.vmm.gpt_root(pid).expect("process exists");
+        let (child, _) = m
+            .vmm
+            .gpt_pages(pid)
+            .into_iter()
+            .find(|(g, i)| *g != root && i.mode == GptPageMode::Nested)
+            .expect("a nested page below the root");
+        assert!(m
+            .vmm
+            .chaos_corrupt_page_mode(pid, child, GptPageMode::Synced));
+        m.run_event(Event::Tick);
+        assert!(
+            m.violations()
+                .iter()
+                .any(|v| v.site == ViolationSite::Transition
+                    && v.detail.contains("is nested but its child")),
+            "{:?}",
+            m.violations()
         );
     }
 

@@ -22,10 +22,6 @@
 //! knobs (threads, timeout, retries, seed stream, checkpoint cadence)
 //! live in one [`PlanOptions`] struct shared with the service.
 //!
-//! [`parallel_map`] is the underlying order-preserving pool, exposed for
-//! experiments (like Table II) whose unit of work is not a full machine
-//! run.
-//!
 //! # Example
 //!
 //! ```
@@ -52,18 +48,16 @@ pub use json::{to_csv, Json};
 
 use crate::chaos::{DegradationEvent, FaultPlan};
 use crate::config::SystemConfig;
-use crate::machine::Machine;
+use crate::machine::{Cursor, Machine, RunHook};
 use crate::service::{CancelToken, PlanOptions, Service, StopCause};
-use crate::snapshot::{Checkpoint, CheckpointSlot};
+use crate::snapshot::{Checkpoint, CheckpointRing, WorkerKill};
 use crate::stats::{KindCounts, RunStats};
 use agile_trace::TraceLog;
 use agile_types::SplitMix64;
 use agile_vmm::VmtrapKind;
 use agile_walk::WalkKind;
 use agile_workloads::WorkloadSpec;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// Schema tag embedded in every serialized artifact.
@@ -149,38 +143,36 @@ impl RunRequest {
     /// the degradation paths did not heal, listing them.
     #[must_use]
     pub fn run(&self) -> RunArtifact {
-        self.run_cancellable(&CancelToken::new()).0
+        self.run_with_recovery(&CancelToken::new(), &RecoveryControls::default())
+            .0
     }
 
-    /// [`RunRequest::run`] with a cooperative stop flag: the machine polls
-    /// `token` at every workload tick boundary and stops there when it is
-    /// cancelled or past its deadline, returning the artifact built from
-    /// the statistics so far plus the cause that stopped it (`None` when
-    /// the run completed).
-    ///
-    /// # Panics
-    ///
-    /// As [`RunRequest::run`] (unhealed paranoia violations).
-    #[must_use]
-    pub fn run_cancellable(&self, token: &CancelToken) -> (RunArtifact, Option<StopCause>) {
-        self.run_with_recovery(token, &RecoveryControls::default())
-    }
-
-    /// [`RunRequest::run_cancellable`] with crash-recovery wiring: the
-    /// machine checkpoints into `recovery.slot` every
+    /// [`RunRequest::run`] with a cooperative stop flag and crash-recovery
+    /// wiring. The machine polls `token` at every workload tick boundary
+    /// and stops there when it is cancelled or past its deadline,
+    /// returning the artifact built from the statistics so far plus the
+    /// cause that stopped it (`None` when the run completed). It also
+    /// checkpoints into `recovery.slot` every
     /// `recovery.checkpoint_interval` ticks, optionally arms the request's
     /// [`FaultPlan::kill_worker_midrun`] trigger, and — when
     /// `recovery.resume` is set — restores that checkpoint and replays
     /// only the workload events past its cursor. A resumed run's artifact
     /// is byte-identical to an uninterrupted run of the same request.
     ///
-    /// The everything-off default ([`RecoveryControls::default`]) is
-    /// exactly [`RunRequest::run_cancellable`]; the service's worker-death
-    /// path is the intended caller of the rest.
+    /// The three tick-boundary controls are [`RunHook`]s of
+    /// [`Machine::drive`], called in this order: the checkpoint store,
+    /// the chaos kill, the cancellation point. A killed worker's latest
+    /// checkpoint is therefore already durable, so recovery never replays
+    /// from before it.
+    ///
+    /// The everything-off default ([`RecoveryControls::default`]) is an
+    /// ordinary cancellable run; the service's worker-death path is the
+    /// intended caller of the rest.
     ///
     /// # Panics
     ///
-    /// As [`RunRequest::run`] (unhealed paranoia violations), or when
+    /// As [`RunRequest::run`] (unhealed paranoia violations), with a
+    /// [`WorkerKill`] payload when the armed kill trigger fires, or when
     /// `recovery.resume` carries a checkpoint from a different request
     /// (mismatched configuration or VM identity).
     #[must_use]
@@ -195,31 +187,56 @@ impl RunRequest {
         }
         let started = Instant::now();
         let mut machine = Machine::new(self.config);
-        machine.set_cancel_token(token.clone());
         if self.capture_trace {
             machine.enable_tracing();
         }
         if let Some(plan) = &self.chaos {
             machine.enable_chaos(plan.clone());
         }
-        if let Some(every) = recovery.checkpoint_interval {
-            machine.set_checkpoint_sink(every, recovery.slot.clone());
-        }
-        if recovery.arm_kill {
-            if let Some(tick) = self.chaos.as_ref().and_then(|p| p.kill_worker_midrun) {
-                machine.set_kill_at_tick(tick);
-            }
-        }
-        let (skip_events, warmup_armed) = match &recovery.resume {
+        let from = match &recovery.resume {
             Some(cp) => {
                 machine
                     .restore_from(&cp.snapshot)
                     .expect("checkpoint restores onto a machine built from its own request");
-                (cp.events_consumed, cp.warmup_armed)
+                cp.cursor
             }
-            None => (0, self.warmup > 0),
+            None => Cursor::start(self.warmup),
         };
-        let stats = machine.run_spec_from(&spec, self.warmup, skip_events, warmup_armed);
+        let mut store = recovery
+            .checkpoint_interval
+            .map(|every| recovery.slot.every(every));
+        let kill_at = self
+            .chaos
+            .as_ref()
+            .and_then(|p| p.kill_worker_midrun)
+            .filter(|_| recovery.arm_kill);
+        let mut kill = kill_at.map(|tick| {
+            move |_: &mut Machine, at: Cursor, is_tick: bool| {
+                if is_tick && at.ticks == tick.max(1) {
+                    std::panic::panic_any(WorkerKill);
+                }
+                ControlFlow::Continue(())
+            }
+        });
+        let mut stopped = None;
+        let mut cancel = |_: &mut Machine, _: Cursor, is_tick: bool| {
+            if is_tick {
+                stopped = token.check();
+            }
+            match stopped {
+                Some(_) => ControlFlow::Break(()),
+                None => ControlFlow::Continue(()),
+            }
+        };
+        let mut hooks: Vec<&mut dyn RunHook> = Vec::with_capacity(3);
+        if let Some(store) = store.as_mut() {
+            hooks.push(store);
+        }
+        if let Some(kill) = kill.as_mut() {
+            hooks.push(kill);
+        }
+        hooks.push(&mut cancel);
+        let stats = machine.run_spec_from(&spec, self.warmup, from, &mut hooks);
         if self.config.paranoia || self.chaos.is_some() {
             let violations = machine.take_violations();
             assert!(
@@ -246,7 +263,7 @@ impl RunRequest {
             degradation: machine.take_degradation_events(),
             trace: self.capture_trace.then(|| machine.take_trace()),
         };
-        (artifact, machine.stop_cause())
+        (artifact, stopped)
     }
 }
 
@@ -260,16 +277,17 @@ pub struct RecoveryControls {
     /// Store a checkpoint into `slot` every this-many workload ticks
     /// (`None` = no checkpointing).
     pub checkpoint_interval: Option<u64>,
-    /// Shared mailbox the machine checkpoints into; the service keeps a
-    /// clone so it can take the latest checkpoint after a worker death.
-    pub slot: CheckpointSlot,
+    /// Shared mailbox (a capacity-1 ring) the machine checkpoints into;
+    /// the service keeps a clone so it can take the latest checkpoint
+    /// after a worker death.
+    pub slot: CheckpointRing,
     /// Arm the request's [`FaultPlan::kill_worker_midrun`] trigger. The
     /// service arms it only on a job's first life, so the resumed attempt
     /// is not killed again.
     pub arm_kill: bool,
     /// Resume from this checkpoint instead of starting from scratch: the
-    /// machine restores the snapshot and skips the already-consumed
-    /// workload events.
+    /// machine restores the snapshot and continues from its cursor, so
+    /// later checkpoints keep the run's absolute tick count and cadence.
     pub resume: Option<Checkpoint>,
 }
 
@@ -725,27 +743,6 @@ impl RunOutcome {
     }
 }
 
-/// A panic raised by one item of a [`try_parallel_map`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Index of the item whose closure panicked.
-    pub index: usize,
-    /// The panic payload, when it was a string.
-    pub message: String,
-}
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker panicked on item {}: {}",
-            self.index, self.message
-        )
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -754,115 +751,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".into()
     }
-}
-
-/// Runs `f` over `items` on up to `threads` workers, returning results in
-/// item order. `f` receives `(index, item)`. With `threads <= 1` this is a
-/// plain serial map with zero thread overhead.
-///
-/// # Panics
-///
-/// Re-raises a panic from any worker, naming the item index (see
-/// [`try_parallel_map`] for the non-panicking form).
-pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    match try_parallel_map(threads, items, f) {
-        Ok(results) => results,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`parallel_map`], but a panicking closure is reported as a
-/// [`WorkerPanic`] carrying the item index instead of tearing down the
-/// caller with a poisoned-lock panic.
-///
-/// The closure runs under [`std::panic::catch_unwind`], so no lock is held
-/// across the unwind and the surviving workers stop claiming new items as
-/// soon as the first panic is observed. The first panic (by observation
-/// order) wins.
-///
-/// # Errors
-///
-/// Returns [`WorkerPanic`] if `f` panicked on any item.
-pub fn try_parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.min(n).max(1);
-    if workers <= 1 {
-        let mut results = Vec::with_capacity(n);
-        for (i, t) in items.into_iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(i, t))) {
-                Ok(r) => results.push(r),
-                Err(payload) => {
-                    return Err(WorkerPanic {
-                        index: i,
-                        message: panic_message(payload),
-                    })
-                }
-            }
-        }
-        return Ok(results);
-    }
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let first_panic: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("queue lock")
-                    .take()
-                    .expect("each item is claimed once");
-                // The closure runs outside any lock: a panic unwinds into
-                // catch_unwind without poisoning the slot or result mutexes.
-                match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                    Ok(result) => {
-                        *results[i].lock().expect("result lock") = Some(result);
-                    }
-                    Err(payload) => {
-                        abort.store(true, Ordering::Relaxed);
-                        let mut first = first_panic.lock().expect("panic lock");
-                        if first.is_none() {
-                            *first = Some(WorkerPanic {
-                                index: i,
-                                message: panic_message(payload),
-                            });
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(panic) = first_panic.into_inner().expect("panic lock") {
-        return Err(panic);
-    }
-    Ok(results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result lock")
-                .expect("every slot is filled")
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -884,15 +772,6 @@ mod tests {
             prefault_writes: true,
             seed,
         }
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let doubled = parallel_map(4, (0..100).collect::<Vec<u64>>(), |i, x| {
-            assert_eq!(i as u64, x);
-            x * 2
-        });
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -919,40 +798,6 @@ mod tests {
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.fingerprint(), b.fingerprint());
         }
-    }
-
-    #[test]
-    fn try_parallel_map_reports_the_panicking_item() {
-        // Pre-fix, the panic poisoned the shared result mutex and the
-        // caller died on an unrelated "result lock" expect, losing the
-        // offending item's identity.
-        let err = try_parallel_map(4, (0..32u64).collect::<Vec<u64>>(), |i, x| {
-            if x == 13 {
-                panic!("boom on {x}");
-            }
-            i as u64 + x
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 13);
-        assert_eq!(err.message, "boom on 13");
-        assert!(err.to_string().contains("item 13"), "{err}");
-    }
-
-    #[test]
-    fn try_parallel_map_serial_path_catches_panics_too() {
-        let err = try_parallel_map(1, vec![1u32, 2, 3], |_, x| {
-            assert_ne!(x, 2, "serial boom");
-            x
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 1);
-        assert!(err.message.contains("serial boom"), "{}", err.message);
-    }
-
-    #[test]
-    fn try_parallel_map_succeeds_without_panics() {
-        let ok = try_parallel_map(3, vec![10u64, 20, 30], |i, x| x + i as u64).unwrap();
-        assert_eq!(ok, vec![10, 21, 32]);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   of being abandoned on a detached thread (no thread ever outlives
 //!   [`Service::shutdown`]).
 //! * **Crash recovery**: with [`PlanOptions::checkpoint_interval`] set,
-//!   every running machine checkpoints into its job's
-//!   [`CheckpointSlot`] at tick
-//!   boundaries. When a worker dies mid-job (the chaos layer's
+//!   every running machine checkpoints into its job's capacity-1
+//!   [`CheckpointRing`] at tick boundaries. When a worker dies mid-job
+//!   (the chaos layer's
 //!   [`FaultPlan::kill_worker_midrun`](crate::chaos::FaultPlan) fault),
 //!   the service detects the orphan, re-queues it with its last
 //!   checkpoint, and a surviving worker restores the machine and replays
@@ -51,7 +51,7 @@ pub use cancel::{CancelToken, StopCause};
 
 use crate::chaos::{DegradationEvent, DegradationKind};
 use crate::runner::{panic_message, RecoveryControls, RunOutcome, RunRequest};
-use crate::snapshot::{Checkpoint, CheckpointSlot, WorkerKill};
+use crate::snapshot::{Checkpoint, CheckpointRing, WorkerKill};
 use agile_types::SplitMix64;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -285,7 +285,7 @@ struct Job {
     outcome: Option<RunOutcome>,
     enqueued: Instant,
     /// Checkpoint mailbox shared with the machine executing this job.
-    slot: CheckpointSlot,
+    slot: CheckpointRing,
     /// Checkpoint to resume from after a worker death.
     resume: Option<Checkpoint>,
     /// Runner-level degradation events carried across a worker death (so
@@ -430,7 +430,7 @@ impl Service {
             phase: Phase::Queued,
             outcome: None,
             enqueued: Instant::now(),
-            slot: CheckpointSlot::new(),
+            slot: CheckpointRing::default(),
             resume: None,
             events: Vec::new(),
             killed: false,
@@ -747,7 +747,7 @@ fn orphan_job(inner: &Arc<Inner>, w: usize, id: usize, label: &str, events: Vec<
             format!(
                 "job-{id} ({label}): worker {w} died mid-run; resuming from the checkpoint \
                  at workload event {} on another worker",
-                cp.events_consumed
+                cp.cursor.events
             )
         }
         None => format!(

@@ -11,8 +11,9 @@
 //!    statistics. Restoring a snapshot and running the remaining events is
 //!    byte-identical to running straight through — the property the
 //!    checkpoint/resume machinery and CI's round-trip job both rest on.
-//! 2. **[`Checkpoint`]/[`CheckpointSlot`]** — the crash-recovery protocol:
-//!    workers store a checkpoint at configured tick boundaries; when chaos
+//! 2. **[`Checkpoint`]/[`CheckpointRing`]** — the crash-recovery protocol:
+//!    workers store a checkpoint at configured tick boundaries through a
+//!    [`RunHook`] ([`CheckpointRing::every`]); when chaos
 //!    kills a worker mid-job ([`WorkerKill`]), the service restores the
 //!    last checkpoint on another worker and replays only the remaining
 //!    events (see [`crate::service`]).
@@ -28,12 +29,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::machine::Machine;
+use crate::machine::{Cursor, Machine, RunHook};
 use crate::verify::{self, Violation, ViolationSite};
 use agile_guest::GuestOs;
 use agile_mem::PhysMem;
 use agile_types::{CodecError, Dec, Enc, PageSize, ProcessId, VmId};
 use agile_vmm::{GptPageMode, Vmm};
+use std::ops::ControlFlow;
 
 /// Leading bytes of every serialized snapshot.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"AGILSNAP";
@@ -165,76 +167,16 @@ impl MachineSnapshot {
 }
 
 /// One resumable checkpoint: a full machine snapshot plus the replay
-/// cursor — how many workload events the run had consumed when it was
-/// taken, and whether the warm-up measurement trigger was still armed.
+/// [`Cursor`] at the tick boundary where it was taken.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Full machine state at the tick boundary.
     pub snapshot: MachineSnapshot,
-    /// Workload events consumed when the checkpoint was taken; a resumed
-    /// run skips exactly this many events before applying the rest.
-    pub events_consumed: u64,
-    /// Whether the warm-up measurement trigger had not yet fired.
-    pub warmup_armed: bool,
-    /// 1-based tick of the run at which the checkpoint was stored, so the
-    /// bisector can report violation positions in ticks, the unit the
-    /// run's own degradation log and cancellation points use.
-    pub ticks: u64,
-}
-
-#[derive(Debug, Default)]
-struct SlotInner {
-    latest: Mutex<Option<Checkpoint>>,
-    stores: AtomicU64,
-}
-
-/// Shared single-checkpoint mailbox between a running machine and the
-/// service supervising it. The machine overwrites the slot at each
-/// checkpointed tick; on a worker kill the service takes the latest
-/// checkpoint and resumes the job elsewhere. Cloning shares the slot.
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointSlot {
-    inner: Arc<SlotInner>,
-}
-
-impl CheckpointSlot {
-    /// An empty slot.
-    #[must_use]
-    pub fn new() -> Self {
-        CheckpointSlot::default()
-    }
-
-    /// Replaces the slot's checkpoint with a newer one.
-    pub fn store(&self, cp: Checkpoint) {
-        *self.inner.latest.lock().expect("checkpoint slot poisoned") = Some(cp);
-        self.inner.stores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Removes and returns the latest checkpoint, if any.
-    #[must_use]
-    pub fn take(&self) -> Option<Checkpoint> {
-        self.inner
-            .latest
-            .lock()
-            .expect("checkpoint slot poisoned")
-            .take()
-    }
-
-    /// The latest checkpoint, cloned, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<Checkpoint> {
-        self.inner
-            .latest
-            .lock()
-            .expect("checkpoint slot poisoned")
-            .clone()
-    }
-
-    /// How many checkpoints have been stored into this slot.
-    #[must_use]
-    pub fn stores(&self) -> u64 {
-        self.inner.stores.load(Ordering::Relaxed)
-    }
+    /// Where the run stood: a resumed run skips `cursor.events` events,
+    /// and `cursor.ticks` lets the bisector report violation positions in
+    /// ticks, the unit the run's own degradation log and cancellation
+    /// points use.
+    pub cursor: Cursor,
 }
 
 #[derive(Debug, Default)]
@@ -243,12 +185,14 @@ struct RingInner {
     stores: AtomicU64,
 }
 
-/// A bounded ring of the last `K` checkpoints of a run, the time-travel
-/// substrate behind [`bisect_violation`]: where [`CheckpointSlot`] keeps
-/// only the newest checkpoint (enough for crash recovery), the ring keeps
-/// a window of history so a violation discovered at pause can be replayed
-/// from progressively older known states and pinned to the first bad
-/// tick. Cloning shares the ring.
+/// A bounded ring of the last `K` checkpoints of a run. With capacity 1
+/// (the default) it is the crash-recovery mailbox between a running
+/// machine and the service supervising it: on a worker kill the service
+/// takes the newest checkpoint and resumes the job elsewhere. With a
+/// larger capacity it is the time-travel substrate behind
+/// [`bisect_violation`]: a window of history, so a violation discovered
+/// at pause can be replayed from progressively older known states and
+/// pinned to the first bad tick. Cloning shares the ring.
 #[derive(Debug, Clone)]
 pub struct CheckpointRing {
     inner: Arc<RingInner>,
@@ -265,6 +209,23 @@ impl CheckpointRing {
         }
     }
 
+    /// A [`RunHook`] that pushes a checkpoint into this ring at every
+    /// `every_ticks`-th tick of the run. Checkpointing reads the machine
+    /// without mutating it, so a checkpointed run's results are
+    /// byte-identical to an unobserved one.
+    pub fn every(&self, every_ticks: u64) -> impl RunHook + '_ {
+        let every = every_ticks.max(1);
+        move |machine: &mut Machine, at: Cursor, is_tick: bool| {
+            if is_tick && at.ticks.is_multiple_of(every) {
+                self.push(Checkpoint {
+                    snapshot: machine.snapshot(),
+                    cursor: at,
+                });
+            }
+            ControlFlow::Continue(())
+        }
+    }
+
     /// Appends a checkpoint, evicting the oldest once over capacity.
     pub fn push(&self, cp: Checkpoint) {
         let mut last = self.inner.last.lock().expect("checkpoint ring poisoned");
@@ -273,6 +234,16 @@ impl CheckpointRing {
         }
         last.push_back(cp);
         self.inner.stores.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Removes and returns the newest checkpoint, if any.
+    #[must_use]
+    pub fn take(&self) -> Option<Checkpoint> {
+        self.inner
+            .last
+            .lock()
+            .expect("checkpoint ring poisoned")
+            .pop_back()
     }
 
     /// The retained checkpoints, oldest first.
@@ -307,6 +278,12 @@ impl CheckpointRing {
             .lock()
             .expect("checkpoint ring poisoned")
             .is_empty()
+    }
+}
+
+impl Default for CheckpointRing {
+    fn default() -> Self {
+        CheckpointRing::new(1)
     }
 }
 
@@ -483,11 +460,11 @@ const MAX_DIFF_VIOLATIONS: usize = 32;
 ///   *metadata*, never the translation function;
 /// * the guest page-table page set and each page's (level, va-base)
 ///   geometry are identical — switching never allocates, frees, or moves
-///   guest table pages;
-/// * the after-state's mode partition is well-formed: below a
-///   [`GptPageMode::Nested`] page, every descendant page (same process,
-///   lower level, va-range inside the nested page's span) is also
-///   `Nested` — the paper's "shadow above, nested below" split point.
+///   guest table pages.
+///
+/// The after-state's "shadow above, nested below" partition is the
+/// static analyzer's mode-partition check, which the machine runs beside
+/// this differ at every switching tick.
 ///
 /// For [`DiffIntent::Migration`]: the same gVAs must be mapped with the
 /// same writability, but host frames and large-page geometry legitimately
@@ -579,44 +556,8 @@ pub fn diff(before: &TransitionView, after: &TransitionView, intent: DiffIntent)
                 );
             }
         }
-        check_partition(after, &mut report);
     }
     out
-}
-
-/// Asserts the "shadow above, nested below" partition on one view: every
-/// page-table page strictly inside a nested page's va-span (and below its
-/// level) must itself be nested. A shadow-mode page under a nested
-/// ancestor would be unreachable by the agile walker yet still
-/// write-protected — the malformed split this check exists to catch.
-fn check_partition(view: &TransitionView, report: &mut impl FnMut(Option<u64>, String)) {
-    for (&(pid, nframe), nested) in &view.gpt_pages {
-        if nested.mode != GptPageMode::Nested {
-            continue;
-        }
-        let span = agile_types::Level::from_number(nested.level_number)
-            .map_or(0x1000, agile_types::Level::span_bytes);
-        let end = nested.va_base.saturating_add(span);
-        for (&(cpid, cframe), child) in &view.gpt_pages {
-            if cpid != pid
-                || child.level_number >= nested.level_number
-                || child.va_base < nested.va_base
-                || child.va_base >= end
-            {
-                continue;
-            }
-            if child.mode != GptPageMode::Nested {
-                report(
-                    Some(child.va_base),
-                    format!(
-                        "malformed switch partition (pid key {pid}): L{} page {cframe:#x} is \
-                         {:?} under nested L{} page {nframe:#x}",
-                        child.level_number, child.mode, nested.level_number
-                    ),
-                );
-            }
-        }
-    }
 }
 
 /// Everything a host needs to rehome one process onto another machine:
@@ -752,41 +693,38 @@ pub fn bisect_violation_with(
     if truncated {
         let findings = machine_findings(&mut machine);
         return Some(BisectReport {
-            from_ticks: cp.ticks,
-            first_bad_tick: cp.ticks,
+            from_ticks: cp.cursor.ticks,
+            first_bad_tick: cp.cursor.ticks,
             events_replayed: 0,
             findings,
             truncated: true,
         });
     }
-    let mut consumed: u64 = 0;
-    let mut replayed: u64 = 0;
-    let mut ticks = cp.ticks;
-    for event in agile_workloads::Workload::new(spec.clone()) {
-        consumed += 1;
-        if consumed <= cp.events_consumed {
-            continue;
+    let mut report = None;
+    let mut first_finding = |machine: &mut Machine, at: Cursor, is_tick: bool| {
+        let findings = machine_findings(machine);
+        if findings.is_empty() {
+            return ControlFlow::Continue(());
         }
-        let is_tick = matches!(&event, agile_workloads::Event::Tick);
-        if is_tick {
-            ticks += 1;
-        }
-        machine.run_event(event);
-        replayed += 1;
-        let findings = machine_findings(&mut machine);
-        if !findings.is_empty() {
-            return Some(BisectReport {
-                from_ticks: cp.ticks,
-                // A violation between tick boundaries belongs to the
-                // in-progress tick.
-                first_bad_tick: if is_tick { ticks } else { ticks + 1 },
-                events_replayed: replayed,
-                findings,
-                truncated: false,
-            });
-        }
-    }
-    None
+        report = Some(BisectReport {
+            from_ticks: cp.cursor.ticks,
+            // A violation between tick boundaries belongs to the
+            // in-progress tick.
+            first_bad_tick: if is_tick { at.ticks } else { at.ticks + 1 },
+            events_replayed: at.events - cp.cursor.events,
+            findings,
+            truncated: false,
+        });
+        ControlFlow::Break(())
+    };
+    // The replay checks findings, not statistics: the warm-up trigger
+    // stays off.
+    let from = Cursor {
+        warmup_armed: false,
+        ..cp.cursor
+    };
+    machine.drive(spec, 0, from, &mut [&mut first_finding]);
+    report
 }
 
 #[cfg(test)]
@@ -817,40 +755,26 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_slot_keeps_the_latest() {
-        let slot = CheckpointSlot::new();
-        assert!(slot.latest().is_none());
-        let cp = |n| Checkpoint {
-            snapshot: MachineSnapshot::from_parts("x".into(), VmId::new(0), vec![]),
-            events_consumed: n,
-            warmup_armed: false,
-            ticks: n,
-        };
-        slot.store(cp(5));
-        slot.store(cp(9));
-        assert_eq!(slot.stores(), 2);
-        assert_eq!(slot.latest().expect("stored").events_consumed, 9);
-        assert_eq!(slot.take().expect("stored").events_consumed, 9);
-        assert!(slot.take().is_none());
-    }
-
-    #[test]
     fn checkpoint_ring_keeps_the_last_k() {
         let ring = CheckpointRing::new(3);
         assert!(ring.is_empty());
         let cp = |n| Checkpoint {
             snapshot: MachineSnapshot::from_parts("x".into(), VmId::new(0), vec![]),
-            events_consumed: n,
-            warmup_armed: false,
-            ticks: n,
+            cursor: Cursor {
+                events: n,
+                ticks: n,
+                warmup_armed: false,
+            },
         };
         for n in 1..=5 {
             ring.push(cp(n));
         }
         assert_eq!(ring.stores(), 5);
         assert_eq!(ring.capacity(), 3);
-        let kept: Vec<u64> = ring.checkpoints().iter().map(|c| c.ticks).collect();
+        let kept: Vec<u64> = ring.checkpoints().iter().map(|c| c.cursor.ticks).collect();
         assert_eq!(kept, vec![3, 4, 5], "oldest two evicted");
+        assert_eq!(ring.take().expect("stored").cursor.ticks, 5, "newest");
+        assert_eq!(ring.checkpoints().len(), 2);
     }
 
     #[test]
@@ -903,29 +827,5 @@ mod tests {
         let after = TransitionView::default();
         assert_eq!(diff(&before, &after, DiffIntent::Migration).len(), 1);
         assert_eq!(diff(&after, &before, DiffIntent::TechniqueSwitch).len(), 1);
-    }
-
-    #[test]
-    fn malformed_partition_is_reported() {
-        let mut view = TransitionView::default();
-        view.gpt_pages.insert(
-            (0, 0x100),
-            GptPageView {
-                level_number: 2,
-                va_base: 0,
-                mode: GptPageMode::Nested,
-            },
-        );
-        view.gpt_pages.insert(
-            (0, 0x101),
-            GptPageView {
-                level_number: 1,
-                va_base: 0x1000,
-                mode: GptPageMode::Synced,
-            },
-        );
-        let found = diff(&view.clone(), &view, DiffIntent::TechniqueSwitch);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].detail.contains("malformed switch partition"));
     }
 }

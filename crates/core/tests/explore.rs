@@ -19,10 +19,18 @@
 //!    compose.
 
 use agile_core::{
-    bisect_violation, bisect_violation_with, explore, replay, AgileOptions, ChurnSpec,
-    CounterexampleTrace, ExploreConfig, FaultPlan, Machine, Pattern, ScenarioKind, ShspOptions,
-    SystemConfig, Technique, WorkloadSpec,
+    bisect_violation, bisect_violation_with, explore, replay, AgileOptions, CheckpointRing,
+    ChurnSpec, CounterexampleTrace, Cursor, ExploreConfig, FaultPlan, Machine, Pattern,
+    ScenarioKind, ShspOptions, SystemConfig, Technique, WorkloadSpec,
 };
+
+/// Runs `spec` on `machine` while keeping its last four per-tick
+/// checkpoints.
+fn run_with_ring(machine: &mut Machine, spec: &WorkloadSpec) -> CheckpointRing {
+    let ring = CheckpointRing::new(4);
+    machine.run_spec_from(spec, 0, Cursor::default(), &mut [&mut ring.every(1)]);
+    ring
+}
 
 fn all_techniques() -> [Technique; 5] {
     [
@@ -232,7 +240,7 @@ fn bisector_pins_the_first_violating_tick() {
     let spec = spec("bisect", 11);
     // Clean run: ring fills, nothing to bisect.
     let mut clean = Machine::new(cfg);
-    let (_, ring) = clean.run_with_ring(&spec, 1, 4);
+    let ring = run_with_ring(&mut clean, &spec);
     assert!(!ring.is_empty(), "ring recorded checkpoints");
     assert!(
         bisect_violation(cfg, &spec, &ring).is_none(),
@@ -244,7 +252,7 @@ fn bisector_pins_the_first_violating_tick() {
     let mut planted = Machine::new(cfg);
     planted.enable_chaos(merge_plan(44));
     planted.chaos_suppress_leaf_flush(true);
-    let (_, ring) = planted.run_with_ring(&spec, 1, 4);
+    let ring = run_with_ring(&mut planted, &spec);
     assert!(
         !planted.violations().is_empty(),
         "the planted bug must violate during the recorded run"

@@ -16,9 +16,9 @@
 //!    metrics rather than in the artifact.
 
 use agile_core::{
-    diff, AgileOptions, CancelToken, CheckpointSlot, ChurnSpec, DegradationKind, DiffIntent,
-    FaultPlan, Machine, MachineSnapshot, Pattern, PlanOptions, RecoveryControls, RunRequest,
-    Service, ShspOptions, SystemConfig, Technique, TransitionView, WorkloadSpec,
+    diff, AgileOptions, CancelToken, Checkpoint, CheckpointRing, ChurnSpec, DegradationKind,
+    DiffIntent, FaultPlan, Machine, MachineSnapshot, Pattern, PlanOptions, RecoveryControls,
+    RunRequest, Service, ShspOptions, SystemConfig, Technique, TransitionView, WorkloadSpec,
 };
 
 fn all_techniques() -> [Technique; 5] {
@@ -131,7 +131,7 @@ fn checkpoint_resume_is_byte_identical_to_straight_through() {
 
         // Checkpointed run: byte-identical, and it must leave a usable
         // mid-run checkpoint behind (not just the final tick's).
-        let slot = CheckpointSlot::new();
+        let slot = CheckpointRing::default();
         let controls = RecoveryControls {
             checkpoint_interval: Some(3),
             slot: slot.clone(),
@@ -147,8 +147,8 @@ fn checkpoint_resume_is_byte_identical_to_straight_through() {
             t.label()
         );
         assert!(slot.stores() > 1, "{}: expected several stores", t.label());
-        let cp = slot.latest().expect("at least one checkpoint stored");
-        assert!(cp.events_consumed > 0, "{}: empty checkpoint", t.label());
+        let cp = slot.take().expect("at least one checkpoint stored");
+        assert!(cp.cursor.events > 0, "{}: empty checkpoint", t.label());
 
         // Resumed run: restore the checkpoint into a fresh machine and
         // consume only the remaining events.
@@ -165,6 +165,43 @@ fn checkpoint_resume_is_byte_identical_to_straight_through() {
             t.label()
         );
     }
+}
+
+#[test]
+fn checkpoints_after_a_resume_keep_absolute_ticks() {
+    let request = RunRequest::new(
+        SystemConfig::new(Technique::Agile(AgileOptions::default())),
+        spec("resume-ticks", 2_400, 27),
+    );
+    let token = CancelToken::new();
+    let every_tick = |slot: &CheckpointRing| RecoveryControls {
+        checkpoint_interval: Some(1),
+        slot: slot.clone(),
+        ..RecoveryControls::default()
+    };
+    let straight = CheckpointRing::new(64);
+    let _ = request.run_with_recovery(&token, &every_tick(&straight));
+    let straight = straight.checkpoints();
+    assert!(straight.len() > 3, "too few ticks: {}", straight.len());
+
+    // Resume from the tick-k checkpoint with interval 1: the next stored
+    // checkpoint is tick k+1, not tick 1 of the resumed attempt.
+    let cp = straight[1].clone();
+    let k = cp.cursor.ticks;
+    let resumed = CheckpointRing::new(64);
+    let controls = RecoveryControls {
+        resume: Some(cp),
+        ..every_tick(&resumed)
+    };
+    let _ = request.run_with_recovery(&token, &controls);
+    let ticks = |ring: &[Checkpoint]| ring.iter().map(|cp| cp.cursor.ticks).collect::<Vec<_>>();
+    let after = ticks(&resumed.checkpoints());
+    assert_eq!(after.first(), Some(&(k + 1)));
+    assert_eq!(
+        after,
+        ticks(&straight[2..]),
+        "resumed cadence follows the run's"
+    );
 }
 
 #[test]
