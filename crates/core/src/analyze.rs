@@ -17,35 +17,35 @@
 //!   host page-table page must be reachable from exactly one owner — the
 //!   host (EPT) tree, one process's shadow tree, or the backing of a
 //!   registered guest page-table page. Zero owners is a leak
-//!   ([`LintCode::OrphanFrame`]), two or more is an alias
-//!   ([`LintCode::MultiOwnedFrame`]).
+//!   ([`FindingCode::OrphanFrame`]), two or more is an alias
+//!   ([`FindingCode::MultiOwnedFrame`]).
 //! * **Shadow-permission monotonicity** (paper §III-A: a shadow leaf merges
 //!   the guest and host translations): every shadow leaf must translate to
 //!   the same frame as the guest∘host composition
-//!   ([`LintCode::ShadowFrameMismatch`]) and must never grant write
+//!   ([`FindingCode::ShadowFrameMismatch`]) and must never grant write
 //!   permission beyond the guest ∩ host intersection
-//!   ([`LintCode::ShadowPermExceeds`]). It may be *more* restrictive —
+//!   ([`FindingCode::ShadowPermExceeds`]). It may be *more* restrictive —
 //!   dirty-bit tracking and COW legitimately install read-only leaves.
 //! * **Switching-bit well-formedness** (paper §III-A, Figure 3: the
 //!   switching bit partitions every walk path into a shadow prefix and a
 //!   nested suffix): switching entries may exist only under agile paging
 //!   with the address space not fully nested
-//!   ([`LintCode::SwitchingBitForbidden`]); each must point at the host
+//!   ([`FindingCode::SwitchingBitForbidden`]); each must point at the host
 //!   backing of the nested-mode guest table page one level down
-//!   ([`LintCode::SwitchingTargetInvalid`]); and no shadow-owned table
+//!   ([`FindingCode::SwitchingTargetInvalid`]); and no shadow-owned table
 //!   memory may sit below a set switching bit
-//!   ([`LintCode::ShadowBelowSwitching`]). The guest-side image of the
+//!   ([`FindingCode::ShadowBelowSwitching`]). The guest-side image of the
 //!   same partition — once a walk path enters nested mode it never returns
-//!   to shadow — is checked as [`LintCode::ModePartition`].
+//!   to shadow — is checked as [`FindingCode::ModePartition`].
 //! * **Cross-table A/D-bit consistency** (paper §III-B: the VMM sets guest
 //!   A/D bits when it builds shadow entries; §IV hardware option 1 moves
 //!   that to the walker): a dirty or writable shadow leaf whose guest leaf
 //!   is not dirty means the dirty-tracking protocol was bypassed
-//!   ([`LintCode::AdBitInconsistent`]).
+//!   ([`FindingCode::AdBitInconsistent`]).
 //! * **Huge-page/4 KiB alias conflicts**: a leaf spanning more than the
 //!   effective guest ∩ host page size, or two overlapping TLB entries that
 //!   disagree about the overlap, alias one physical page under two
-//!   granularities ([`LintCode::HugeAliasConflict`]).
+//!   granularities ([`FindingCode::HugeAliasConflict`]).
 //!
 //! **Part B — shootdown-protocol race detector**
 //! ([`detect_shootdown_races`]). A happens-before pass over the
@@ -55,14 +55,17 @@
 //! was dropped or deferred, with the allocator handing out new frames
 //! before any covering flush applied, is exactly the missed-shootdown
 //! use-after-free window the chaos layer injects
-//! ([`LintCode::MissedShootdownReuse`]); a freed frame whose covering
+//! ([`FindingCode::MissedShootdownReuse`]); a freed frame whose covering
 //! shootdown never applied at all by the time the machine paused is
-//! reported as [`LintCode::ShootdownNeverApplied`].
+//! reported as [`FindingCode::ShootdownNeverApplied`].
 //!
-//! All passes are strictly read-only and deterministic: diagnostics are
-//! emitted in a canonical order, so two analyses of the same state render
-//! byte-identically.
+//! Every diagnostic is a [`Finding`], the type the runtime oracles report
+//! with too; its [`FindingCode`] comes from the one catalogue, after the
+//! seven oracle codes. All passes are strictly read-only and
+//! deterministic: a [`LintReport`] holds its findings in a canonical
+//! order, so two analyses of the same state render byte-identically.
 
+use crate::finding::{Finding, FindingCode, Severity};
 use crate::runner::Json;
 use crate::verify;
 use agile_mem::PhysMem;
@@ -73,270 +76,12 @@ use agile_types::{
 use agile_vmm::{FlushRequest, GptPageMode, Technique, Vmm};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Typed code of one static-analysis diagnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LintCode {
-    /// A live host page-table page is reachable from no owner (host tree,
-    /// shadow tree, or guest-table backing): leaked table memory.
-    OrphanFrame,
-    /// A live host page-table page is claimed by two or more owners.
-    MultiOwnedFrame,
-    /// An interior (non-leaf, non-switching) entry points at a frame that
-    /// is not a live table page.
-    DanglingTablePointer,
-    /// A registered guest page-table frame has no live host table backing.
-    UnbackedGuestTable,
-    /// A shadow (or merged) leaf translates to a frame other than what the
-    /// guest∘host composition says, or maps a gVA the guest does not map.
-    ShadowFrameMismatch,
-    /// A shadow leaf grants write permission beyond guest ∩ host.
-    ShadowPermExceeds,
-    /// A shadow leaf's dirty/writable state is inconsistent with the guest
-    /// leaf's dirty bit (the §III-B dirty-tracking protocol was bypassed).
-    AdBitInconsistent,
-    /// A switching entry exists where the technique or process mode forbids
-    /// one (non-agile technique, or fully nested address space).
-    SwitchingBitForbidden,
-    /// A switching entry does not point at the host backing of a
-    /// nested-mode guest table page at the level below it.
-    SwitchingTargetInvalid,
-    /// A switching entry points into shadow-owned table memory: shadow
-    /// entries survive strictly below a set switching bit.
-    ShadowBelowSwitching,
-    /// A nested-mode guest page-table page has a non-nested child: the walk
-    /// path would return from the nested suffix to a shadow prefix.
-    ModePartition,
-    /// A leaf or TLB entry aliases one physical range under two page sizes
-    /// that disagree (span exceeds the effective guest ∩ host size, or two
-    /// overlapping TLB entries translate the overlap differently).
-    HugeAliasConflict,
-    /// A table frame was freed under a dropped/deferred shootdown and the
-    /// allocator handed out new frames before any covering flush applied.
-    MissedShootdownReuse,
-    /// A table frame was freed and its covering shootdown still had not
-    /// applied when the machine paused (no reuse observed yet).
-    ShootdownNeverApplied,
-    /// Host scope: two VMs' frame extents overlap, or a VM holds more
-    /// frames than its lease on the shared pool grants — either way, a
-    /// frame is effectively owned by two VMs.
-    CrossVmFrameAlias,
-    /// Host scope: a VM still holds leased frames after teardown.
-    TeardownFrameLeak,
-    /// Host scope: frames a guest balloon surrendered never reached the
-    /// shared pool (the arbiter lost them in transit).
-    BalloonNotReturned,
-    /// A technique-switch or migration transition changed the translation
-    /// function, or moved state outside the intended subtree (found by the
-    /// two-state differ, [`crate::snapshot::diff`]).
-    TransitionDiverged,
-}
-
-impl LintCode {
-    /// All codes, in report order.
-    pub const ALL: [LintCode; 18] = [
-        LintCode::OrphanFrame,
-        LintCode::MultiOwnedFrame,
-        LintCode::DanglingTablePointer,
-        LintCode::UnbackedGuestTable,
-        LintCode::ShadowFrameMismatch,
-        LintCode::ShadowPermExceeds,
-        LintCode::AdBitInconsistent,
-        LintCode::SwitchingBitForbidden,
-        LintCode::SwitchingTargetInvalid,
-        LintCode::ShadowBelowSwitching,
-        LintCode::ModePartition,
-        LintCode::HugeAliasConflict,
-        LintCode::MissedShootdownReuse,
-        LintCode::ShootdownNeverApplied,
-        LintCode::CrossVmFrameAlias,
-        LintCode::TeardownFrameLeak,
-        LintCode::BalloonNotReturned,
-        LintCode::TransitionDiverged,
-    ];
-
-    /// Stable kebab-case label (used in rendered and JSON output).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            LintCode::OrphanFrame => "orphan-frame",
-            LintCode::MultiOwnedFrame => "multi-owned-frame",
-            LintCode::DanglingTablePointer => "dangling-table-pointer",
-            LintCode::UnbackedGuestTable => "unbacked-guest-table",
-            LintCode::ShadowFrameMismatch => "shadow-frame-mismatch",
-            LintCode::ShadowPermExceeds => "shadow-perm-exceeds",
-            LintCode::AdBitInconsistent => "ad-bit-inconsistent",
-            LintCode::SwitchingBitForbidden => "switching-bit-forbidden",
-            LintCode::SwitchingTargetInvalid => "switching-target-invalid",
-            LintCode::ShadowBelowSwitching => "shadow-below-switching",
-            LintCode::ModePartition => "mode-partition",
-            LintCode::HugeAliasConflict => "huge-alias-conflict",
-            LintCode::MissedShootdownReuse => "missed-shootdown-reuse",
-            LintCode::ShootdownNeverApplied => "shootdown-never-applied",
-            LintCode::CrossVmFrameAlias => "cross-vm-frame-alias",
-            LintCode::TeardownFrameLeak => "teardown-frame-leak",
-            LintCode::BalloonNotReturned => "balloon-not-returned",
-            LintCode::TransitionDiverged => "transition-diverged",
-        }
-    }
-
-    /// Default severity of the code.
-    #[must_use]
-    pub fn severity(self) -> LintSeverity {
-        match self {
-            // No reuse observed yet: the window is open but nothing stale
-            // can have been handed out, so this is advisory.
-            LintCode::ShootdownNeverApplied => LintSeverity::Warning,
-            _ => LintSeverity::Error,
-        }
-    }
-}
-
-/// How serious a diagnostic is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LintSeverity {
-    /// Advisory: suspicious but not yet a correctness violation.
-    Warning,
-    /// A structural invariant is broken.
-    Error,
-}
-
-impl LintSeverity {
-    fn label(self) -> &'static str {
-        match self {
-            LintSeverity::Warning => "warning",
-            LintSeverity::Error => "error",
-        }
-    }
-}
-
-/// One static-analysis diagnostic: the code, its severity, and the
-/// gVA/level/frame context it concerns (like [`crate::Violation`], but for
-/// state the workload never touched).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintDiag {
-    /// Which invariant is broken.
-    pub code: LintCode,
-    /// How serious it is.
-    pub severity: LintSeverity,
-    /// VM the diagnostic concerns, when the analysis is host-scoped
-    /// (multi-VM). `None` for single-machine analyses.
-    pub vm: Option<VmId>,
-    /// Process whose tables the diagnostic concerns, when per-process.
-    pub pid: Option<ProcessId>,
-    /// Offending guest virtual address, when the check concerns one.
-    pub gva: Option<u64>,
-    /// Page-table level involved, when known.
-    pub level: Option<Level>,
-    /// Host frame involved, when known.
-    pub frame: Option<HostFrame>,
-    /// What exactly is wrong.
-    pub detail: String,
-}
-
-impl LintDiag {
-    pub(crate) fn new(code: LintCode, detail: String) -> Self {
-        LintDiag {
-            code,
-            severity: code.severity(),
-            vm: None,
-            pid: None,
-            gva: None,
-            level: None,
-            frame: None,
-            detail,
-        }
-    }
-
-    /// Tags the diagnostic with the VM it concerns (host-scope analyses).
-    #[must_use]
-    pub fn vm(mut self, vm: VmId) -> Self {
-        self.vm = Some(vm);
-        self
-    }
-
-    pub(crate) fn pid(mut self, pid: ProcessId) -> Self {
-        self.pid = Some(pid);
-        self
-    }
-
-    pub(crate) fn gva(mut self, gva: u64) -> Self {
-        self.gva = Some(gva);
-        self
-    }
-
-    fn level(mut self, level: Level) -> Self {
-        self.level = Some(level);
-        self
-    }
-
-    fn frame(mut self, frame: HostFrame) -> Self {
-        self.frame = Some(frame);
-        self
-    }
-
-    /// Renders the diagnostic as a stable sorted-key JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("code", Json::Str(self.code.label().to_string())),
-            ("detail", Json::Str(self.detail.clone())),
-            (
-                "frame",
-                self.frame.map_or(Json::Null, |f| Json::UInt(f.raw())),
-            ),
-            (
-                "gva",
-                self.gva
-                    .map_or(Json::Null, |g| Json::Str(format!("{g:#x}"))),
-            ),
-            (
-                "level",
-                self.level
-                    .map_or(Json::Null, |l| Json::UInt(u64::from(l.number()))),
-            ),
-            (
-                "pid",
-                self.pid
-                    .map_or(Json::Null, |p| Json::UInt(u64::from(p.raw()))),
-            ),
-            ("severity", Json::Str(self.severity.label().to_string())),
-            (
-                "vm",
-                self.vm
-                    .map_or(Json::Null, |v| Json::UInt(u64::from(v.raw()))),
-            ),
-        ])
-    }
-}
-
-impl std::fmt::Display for LintDiag {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}[{}]", self.severity.label(), self.code.label())?;
-        if let Some(vm) = self.vm {
-            write!(f, " vm={}", vm.raw())?;
-        }
-        if let Some(pid) = self.pid {
-            write!(f, " pid={}", pid.raw())?;
-        }
-        if let Some(gva) = self.gva {
-            write!(f, " gva={gva:#x}")?;
-        }
-        if let Some(level) = self.level {
-            write!(f, " level={level:?}")?;
-        }
-        if let Some(frame) = self.frame {
-            write!(f, " frame={frame}")?;
-        }
-        write!(f, ": {}", self.detail)
-    }
-}
-
 /// The result of one analysis pass: diagnostics in canonical order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LintReport {
     /// All diagnostics found, sorted by (code, vm, pid, gva, frame,
     /// detail).
-    pub diags: Vec<LintDiag>,
+    pub diags: Vec<Finding>,
 }
 
 impl LintReport {
@@ -344,24 +89,10 @@ impl LintReport {
     /// canonical order (host-scope callers merge several machines'
     /// diagnostics before sorting).
     #[must_use]
-    pub fn from_diags(mut diags: Vec<LintDiag>) -> Self {
+    pub fn from_diags(mut diags: Vec<Finding>) -> Self {
         diags.sort_by(|a, b| {
-            (
-                a.code,
-                a.vm.map(VmId::raw),
-                a.pid.map(ProcessId::raw),
-                a.gva,
-                a.frame.map(HostFrame::raw),
-                &a.detail,
-            )
-                .cmp(&(
-                    b.code,
-                    b.vm.map(VmId::raw),
-                    b.pid.map(ProcessId::raw),
-                    b.gva,
-                    b.frame.map(HostFrame::raw),
-                    &b.detail,
-                ))
+            (a.code, a.vm, a.pid, a.gva, a.frame, &a.detail)
+                .cmp(&(b.code, b.vm, b.pid, b.gva, b.frame, &b.detail))
         });
         LintReport { diags }
     }
@@ -374,14 +105,14 @@ impl LintReport {
 
     /// Number of diagnostics with the given code.
     #[must_use]
-    pub fn count(&self, code: LintCode) -> usize {
+    pub fn count(&self, code: FindingCode) -> usize {
         self.diags.iter().filter(|d| d.code == code).count()
     }
 
-    /// True when any diagnostic has [`LintSeverity::Error`].
+    /// True when any diagnostic has [`Severity::Error`].
     #[must_use]
     pub fn has_errors(&self) -> bool {
-        self.diags.iter().any(|d| d.severity == LintSeverity::Error)
+        self.diags.iter().any(|d| d.severity() == Severity::Error)
     }
 
     /// Renders one line per diagnostic (empty string when clean).
@@ -402,7 +133,7 @@ impl LintReport {
             ("count", Json::UInt(self.diags.len() as u64)),
             (
                 "diags",
-                Json::Arr(self.diags.iter().map(LintDiag::to_json).collect()),
+                Json::Arr(self.diags.iter().map(Finding::to_json).collect()),
             ),
         ])
     }
@@ -487,7 +218,7 @@ fn walk_guest_tree(
 /// dereference of freed table memory as a fatal bug — so they only run on
 /// an intact graph; on a broken one, the structural diagnostics emitted
 /// here already pinpoint the breakage.
-fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> bool {
+fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<Finding>) -> bool {
     let mut owners: HashMap<u64, Vec<String>> = HashMap::new();
     let mut claim = |frame: HostFrame, owner: String| {
         owners.entry(frame.raw()).or_default().push(owner);
@@ -500,8 +231,8 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
         &mut |_, _, _| {},
         &mut |gpa, level, child| {
             out.push(
-                LintDiag::new(
-                    LintCode::DanglingTablePointer,
+                Finding::new(
+                    FindingCode::DanglingTablePointer,
                     format!("host table entry at gPA {gpa:#x} points at non-table {child}"),
                 )
                 .level(level)
@@ -519,8 +250,8 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
                 &mut |_, _, _| {},
                 &mut |va, level, child| {
                     out.push(
-                        LintDiag::new(
-                            LintCode::DanglingTablePointer,
+                        Finding::new(
+                            FindingCode::DanglingTablePointer,
                             format!("shadow table entry points at non-table {child}"),
                         )
                         .pid(pid)
@@ -534,8 +265,8 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
         if let Some(root) = vmm.gpt_root(pid) {
             walk_guest_tree(mem, vmm, root, &mut |_, _| {}, &mut |va, level, child| {
                 out.push(
-                    LintDiag::new(
-                        LintCode::DanglingTablePointer,
+                    Finding::new(
+                        FindingCode::DanglingTablePointer,
                         format!(
                             "guest table entry points at guest frame {child} with no live \
                                  table backing"
@@ -555,8 +286,8 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
                 claim(backing, format!("guest-table {gframe}"));
             }
             other => {
-                out.push(LintDiag::new(
-                    LintCode::UnbackedGuestTable,
+                out.push(Finding::new(
+                    FindingCode::UnbackedGuestTable,
                     format!(
                         "registered guest table frame {gframe} has backing {other:?}, which \
                              is not a live table page"
@@ -569,15 +300,15 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
     for frame in mem.table_frames() {
         match owners.get(&frame.raw()) {
             None => out.push(
-                LintDiag::new(
-                    LintCode::OrphanFrame,
+                Finding::new(
+                    FindingCode::OrphanFrame,
                     "live table page reachable from no owner (leaked)".to_string(),
                 )
                 .frame(frame),
             ),
             Some(claims) if claims.len() > 1 => out.push(
-                LintDiag::new(
-                    LintCode::MultiOwnedFrame,
+                Finding::new(
+                    FindingCode::MultiOwnedFrame,
                     format!(
                         "table page claimed by {} owners: {}",
                         claims.len(),
@@ -593,7 +324,7 @@ fn check_frame_ownership(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) -> b
     !out.iter().any(|d| {
         matches!(
             d.code,
-            LintCode::DanglingTablePointer | LintCode::UnbackedGuestTable
+            FindingCode::DanglingTablePointer | FindingCode::UnbackedGuestTable
         )
     })
 }
@@ -614,7 +345,7 @@ fn path_unsynced(mem: &PhysMem, vmm: &Vmm, pid: ProcessId, gva: u64) -> bool {
 /// `tables_intact` gates the truth comparisons (reference translation,
 /// page-mode probes): they dereference table pages through the infallible
 /// simulator read paths and must not run over a structurally broken graph.
-fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut Vec<LintDiag>) {
+fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut Vec<Finding>) {
     let technique = vmm.technique();
     let agile = matches!(technique, Technique::Agile(_));
     let hw_ad = matches!(technique, Technique::Agile(o) if o.hw_ad_bits);
@@ -678,8 +409,8 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
             let size = pte.leaf_size(level).expect("leaf entry");
             let Some(reference) = verify::reference_translate(mem, vmm, pid, va) else {
                 out.push(
-                    LintDiag::new(
-                        LintCode::ShadowFrameMismatch,
+                    Finding::new(
+                        FindingCode::ShadowFrameMismatch,
                         format!(
                             "shadow leaf maps a gVA the guest does not map (to frame {})",
                             pte.host_frame()
@@ -693,8 +424,8 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
             };
             if size > reference.eff_size {
                 out.push(
-                    LintDiag::new(
-                        LintCode::HugeAliasConflict,
+                    Finding::new(
+                        FindingCode::HugeAliasConflict,
                         format!(
                             "shadow leaf spans {} but the effective guest ∩ host size is {} \
                              (guest {}, host {})",
@@ -710,8 +441,8 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
                 );
             } else if pte.host_frame() != reference.frame_4k {
                 out.push(
-                    LintDiag::new(
-                        LintCode::ShadowFrameMismatch,
+                    Finding::new(
+                        FindingCode::ShadowFrameMismatch,
                         format!(
                             "shadow leaf maps frame {}, guest∘host composition says {}",
                             pte.host_frame(),
@@ -726,8 +457,8 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
             }
             if pte.is_writable() && !reference.writable {
                 out.push(
-                    LintDiag::new(
-                        LintCode::ShadowPermExceeds,
+                    Finding::new(
+                        FindingCode::ShadowPermExceeds,
                         "shadow leaf permits writes beyond the guest ∩ host intersection"
                             .to_string(),
                     )
@@ -747,8 +478,8 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
                     .is_some_and(|(g, _)| g.flags().contains(PteFlags::DIRTY));
                 if pte.flags().contains(PteFlags::DIRTY) && !guest_dirty {
                     out.push(
-                        LintDiag::new(
-                            LintCode::AdBitInconsistent,
+                        Finding::new(
+                            FindingCode::AdBitInconsistent,
                             "shadow leaf is dirty but the guest leaf is not".to_string(),
                         )
                         .pid(pid)
@@ -757,8 +488,8 @@ fn check_shadow_tables(mem: &PhysMem, vmm: &Vmm, tables_intact: bool, out: &mut 
                     );
                 } else if !hw_ad && pte.is_writable() && !guest_dirty {
                     out.push(
-                        LintDiag::new(
-                            LintCode::AdBitInconsistent,
+                        Finding::new(
+                            FindingCode::AdBitInconsistent,
                             "shadow leaf is writable but the guest leaf is not dirty (the \
                              dirty-tracking trap was bypassed)"
                                 .to_string(),
@@ -786,12 +517,12 @@ fn check_switching_entry(
     inert: bool,
     guest_backing: &HashMap<u64, GuestFrame>,
     pages: &HashMap<u64, agile_vmm::GptPageInfo>,
-    out: &mut Vec<LintDiag>,
+    out: &mut Vec<Finding>,
 ) {
     if !agile {
         out.push(
-            LintDiag::new(
-                LintCode::SwitchingBitForbidden,
+            Finding::new(
+                FindingCode::SwitchingBitForbidden,
                 format!(
                     "switching entry under {:?}, which never sets the switching bit",
                     vmm.technique()
@@ -805,8 +536,8 @@ fn check_switching_entry(
     }
     if vmm.full_nested(pid) {
         out.push(
-            LintDiag::new(
-                LintCode::SwitchingBitForbidden,
+            Finding::new(
+                FindingCode::SwitchingBitForbidden,
                 "switching entry while the address space is fully nested (pure-nested mode \
                  never materializes shadow entries)"
                     .to_string(),
@@ -830,8 +561,8 @@ fn check_switching_entry(
             if !ok {
                 let mode = info.map(|i| i.mode);
                 out.push(
-                    LintDiag::new(
-                        LintCode::SwitchingTargetInvalid,
+                    Finding::new(
+                        FindingCode::SwitchingTargetInvalid,
                         format!(
                             "switching entry targets guest table {gframe} (mode {mode:?}), \
                              expected a nested-mode page holding {child_level:?} entries"
@@ -845,8 +576,8 @@ fn check_switching_entry(
             }
         }
         None if mem.is_table(target) => out.push(
-            LintDiag::new(
-                LintCode::ShadowBelowSwitching,
+            Finding::new(
+                FindingCode::ShadowBelowSwitching,
                 "switching entry points into shadow/host-owned table memory: shadow entries \
                  survive below the switching bit"
                     .to_string(),
@@ -857,8 +588,8 @@ fn check_switching_entry(
             .frame(target),
         ),
         None => out.push(
-            LintDiag::new(
-                LintCode::SwitchingTargetInvalid,
+            Finding::new(
+                FindingCode::SwitchingTargetInvalid,
                 format!("switching entry targets {target}, which is not a live table page"),
             )
             .pid(pid)
@@ -871,7 +602,7 @@ fn check_switching_entry(
 
 /// Guest-side image of the Figure 3 partition: below a nested-mode page,
 /// every page must be nested.
-pub(crate) fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintDiag>) {
+pub(crate) fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<Finding>) {
     for pid in vmm.processes() {
         let pages = vmm.gpt_pages(pid);
         let by_frame: HashMap<u64, GptPageMode> =
@@ -895,8 +626,8 @@ pub(crate) fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintD
                     if *mode != GptPageMode::Nested {
                         let va = info.va_base + index as u64 * info.level.span_bytes();
                         out.push(
-                            LintDiag::new(
-                                LintCode::ModePartition,
+                            Finding::new(
+                                FindingCode::ModePartition,
                                 format!(
                                     "guest table page {gframe} is nested but its child \
                                      {child:#x} is {mode:?}: the walk path would switch back \
@@ -916,7 +647,7 @@ pub(crate) fn check_mode_partition(mem: &PhysMem, vmm: &Vmm, out: &mut Vec<LintD
 
 /// TLB overlap pass: two entries of one address space covering the same
 /// gVA must agree on the translation of the overlap.
-fn check_tlb_aliases(tlb: &TlbHierarchy, out: &mut Vec<LintDiag>) {
+fn check_tlb_aliases(tlb: &TlbHierarchy, out: &mut Vec<Finding>) {
     let mut entries = tlb.entries();
     entries.sort_by_key(|(asid, va, e)| (asid.raw(), va.raw(), e.size, e.frame.raw()));
     let mut active: Vec<(u64, usize)> = Vec::new(); // (end, index into entries)
@@ -932,8 +663,8 @@ fn check_tlb_aliases(tlb: &TlbHierarchy, out: &mut Vec<LintDiag>) {
             let f_j = e_j.frame;
             if f_i != f_j {
                 out.push(
-                    LintDiag::new(
-                        LintCode::HugeAliasConflict,
+                    Finding::new(
+                        FindingCode::HugeAliasConflict,
                         format!(
                             "TLB entries of sizes {} and {} overlap at {start_j:#x} but \
                              translate it to {f_i} vs {f_j}",
@@ -1006,7 +737,7 @@ pub struct VmFrameView {
 /// deterministic; diagnostics come back unsorted (the caller merges them
 /// into a [`LintReport`]).
 #[must_use]
-pub fn check_host_frames(views: &[VmFrameView]) -> Vec<LintDiag> {
+pub fn check_host_frames(views: &[VmFrameView]) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut sorted: Vec<&VmFrameView> = views.iter().collect();
     sorted.sort_by_key(|v| v.frame_base);
@@ -1015,8 +746,8 @@ pub fn check_host_frames(views: &[VmFrameView]) -> Vec<LintDiag> {
         let lo_end = lo.frame_base + lo.frames_allocated;
         if lo_end > hi.frame_base {
             out.push(
-                LintDiag::new(
-                    LintCode::CrossVmFrameAlias,
+                Finding::new(
+                    FindingCode::CrossVmFrameAlias,
                     format!(
                         "frame extent of vm {} (through {}) overlaps the span of vm {} \
                          (from {})",
@@ -1036,8 +767,8 @@ pub fn check_host_frames(views: &[VmFrameView]) -> Vec<LintDiag> {
         // snapshot is historical (its leak check is the lease itself).
         if !v.torn_down && v.frames_charged > v.lease {
             out.push(
-                LintDiag::new(
-                    LintCode::CrossVmFrameAlias,
+                Finding::new(
+                    FindingCode::CrossVmFrameAlias,
                     format!(
                         "vm {} holds {} frames against a lease of {} — the excess is \
                          capacity another VM also counts as its own",
@@ -1051,8 +782,8 @@ pub fn check_host_frames(views: &[VmFrameView]) -> Vec<LintDiag> {
         }
         if v.torn_down && v.lease > 0 {
             out.push(
-                LintDiag::new(
-                    LintCode::TeardownFrameLeak,
+                Finding::new(
+                    FindingCode::TeardownFrameLeak,
                     format!(
                         "vm {} was torn down but still leases {} frames",
                         v.vm.raw(),
@@ -1064,8 +795,8 @@ pub fn check_host_frames(views: &[VmFrameView]) -> Vec<LintDiag> {
         }
         if v.ballooned != v.pool_surrendered {
             out.push(
-                LintDiag::new(
-                    LintCode::BalloonNotReturned,
+                Finding::new(
+                    FindingCode::BalloonNotReturned,
                     format!(
                         "vm {} ballooned {} frames but the pool recorded {}",
                         v.vm.raw(),
@@ -1367,11 +1098,11 @@ impl ShootdownLog {
 /// later `Applied` flush, translation-caching structures may still hold
 /// pointers into the freed frames. If the allocator hands out new frames
 /// while a window is open, the freed frame's capacity was reused before
-/// the shootdown protocol finished — [`LintCode::MissedShootdownReuse`].
+/// the shootdown protocol finished — [`FindingCode::MissedShootdownReuse`].
 /// Windows still open at the end of the log (no reuse observed) are
-/// reported as [`LintCode::ShootdownNeverApplied`].
+/// reported as [`FindingCode::ShootdownNeverApplied`].
 #[must_use]
-pub fn detect_shootdown_races(log: &ShootdownLog) -> Vec<LintDiag> {
+pub fn detect_shootdown_races(log: &ShootdownLog) -> Vec<Finding> {
     #[derive(Default)]
     struct Batch {
         pending: Vec<FlushScope>,
@@ -1414,8 +1145,8 @@ pub fn detect_shootdown_races(log: &ShootdownLog) -> Vec<LintDiag> {
                             continue;
                         }
                         out.push(
-                            LintDiag::new(
-                                LintCode::MissedShootdownReuse,
+                            Finding::new(
+                                FindingCode::MissedShootdownReuse,
                                 format!(
                                     "table frame freed at access {freed_at} (batch {id}) was \
                                      reused (allocation {frame} at access {access}) before its \
@@ -1440,8 +1171,8 @@ pub fn detect_shootdown_races(log: &ShootdownLog) -> Vec<LintDiag> {
                 continue;
             }
             out.push(
-                LintDiag::new(
-                    LintCode::ShootdownNeverApplied,
+                Finding::new(
+                    FindingCode::ShootdownNeverApplied,
                     format!(
                         "table frame freed at access {freed_at} (batch {id}); its covering \
                          shootdown was still undelivered at pause"
@@ -1453,8 +1184,8 @@ pub fn detect_shootdown_races(log: &ShootdownLog) -> Vec<LintDiag> {
     }
 
     if log.truncated > 0 {
-        out.push(LintDiag::new(
-            LintCode::ShootdownNeverApplied,
+        out.push(Finding::new(
+            FindingCode::ShootdownNeverApplied,
             format!(
                 "shootdown event log truncated ({} events dropped): race analysis is incomplete",
                 log.truncated
@@ -1486,12 +1217,12 @@ pub struct VmShootdownView<'a> {
 /// plus a cross-VM ownership check no single machine can make — a
 /// `FrameFreed`/`FrameReused` event naming a frame outside the recording
 /// VM's span means one VM's shootdown protocol operated on table memory
-/// the host leased to another VM ([`LintCode::CrossVmFrameAlias`]).
+/// the host leased to another VM ([`FindingCode::CrossVmFrameAlias`]).
 ///
 /// Pure and deterministic; diagnostics come back unsorted (the caller
 /// merges them into a [`LintReport`]).
 #[must_use]
-pub fn detect_host_shootdown_races(views: &[VmShootdownView<'_>]) -> Vec<LintDiag> {
+pub fn detect_host_shootdown_races(views: &[VmShootdownView<'_>]) -> Vec<Finding> {
     let mut out = Vec::new();
     for view in views {
         for d in detect_shootdown_races(view.log) {
@@ -1515,8 +1246,8 @@ pub fn detect_host_shootdown_races(views: &[VmShootdownView<'_>]) -> Vec<LintDia
                 })
                 .map_or("no VM's span".to_string(), |v| format!("vm {}", v.vm.raw()));
             out.push(
-                LintDiag::new(
-                    LintCode::CrossVmFrameAlias,
+                Finding::new(
+                    FindingCode::CrossVmFrameAlias,
                     format!(
                         "vm {}'s shootdown protocol {what} table frame {frame}, which lies in \
                          {owner}",
@@ -1564,7 +1295,7 @@ mod tests {
         a.frames_allocated = agile_mem::VM_FRAME_SPAN + 5;
         let diags = check_host_frames(&[a, view(1)]);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, LintCode::CrossVmFrameAlias);
+        assert_eq!(diags[0].code, FindingCode::CrossVmFrameAlias);
         assert_eq!(diags[0].vm, Some(VmId::new(0)));
     }
 
@@ -1574,7 +1305,7 @@ mod tests {
         a.frames_charged = a.lease + 7;
         let diags = check_host_frames(&[view(0), a]);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, LintCode::CrossVmFrameAlias);
+        assert_eq!(diags[0].code, FindingCode::CrossVmFrameAlias);
         assert_eq!(diags[0].vm, Some(VmId::new(1)));
     }
 
@@ -1587,10 +1318,13 @@ mod tests {
         b.ballooned = 20;
         b.pool_surrendered = 15;
         let report = LintReport::from_diags(check_host_frames(&[a, b]));
-        let codes: Vec<LintCode> = report.diags.iter().map(|d| d.code).collect();
+        let codes: Vec<FindingCode> = report.diags.iter().map(|d| d.code).collect();
         assert_eq!(
             codes,
-            vec![LintCode::TeardownFrameLeak, LintCode::BalloonNotReturned]
+            vec![
+                FindingCode::TeardownFrameLeak,
+                FindingCode::BalloonNotReturned
+            ]
         );
         let rendered = report.render();
         assert!(rendered.contains("vm=0"), "vm tag rendered: {rendered}");
@@ -1635,7 +1369,7 @@ mod tests {
         });
         let diags = detect_shootdown_races(&log);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, LintCode::MissedShootdownReuse);
+        assert_eq!(diags[0].code, FindingCode::MissedShootdownReuse);
         assert_eq!(diags[0].frame, Some(HostFrame::new(7)));
     }
 
@@ -1680,8 +1414,8 @@ mod tests {
         });
         let diags = detect_shootdown_races(&log);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, LintCode::ShootdownNeverApplied);
-        assert_eq!(diags[0].severity, LintSeverity::Warning);
+        assert_eq!(diags[0].code, FindingCode::ShootdownNeverApplied);
+        assert_eq!(diags[0].severity(), Severity::Warning);
     }
 
     #[test]
@@ -1735,18 +1469,18 @@ mod tests {
             },
         ];
         let report = LintReport::from_diags(detect_host_shootdown_races(&views));
-        assert_eq!(report.count(LintCode::MissedShootdownReuse), 1);
-        assert_eq!(report.count(LintCode::CrossVmFrameAlias), 1);
+        assert_eq!(report.count(FindingCode::MissedShootdownReuse), 1);
+        assert_eq!(report.count(FindingCode::CrossVmFrameAlias), 1);
         let race = report
             .diags
             .iter()
-            .find(|d| d.code == LintCode::MissedShootdownReuse)
+            .find(|d| d.code == FindingCode::MissedShootdownReuse)
             .expect("per-vm race survives at host scope");
         assert_eq!(race.vm, Some(VmId::new(0)));
         let alias = report
             .diags
             .iter()
-            .find(|d| d.code == LintCode::CrossVmFrameAlias)
+            .find(|d| d.code == FindingCode::CrossVmFrameAlias)
             .expect("out-of-span frame is a cross-vm alias");
         assert_eq!(alias.vm, Some(VmId::new(1)));
         assert_eq!(alias.frame, Some(HostFrame::new(7)));
@@ -1801,25 +1535,14 @@ mod tests {
 
     #[test]
     fn report_orders_and_renders_deterministically() {
-        let a = LintDiag::new(LintCode::OrphanFrame, "z".into()).frame(HostFrame::new(9));
-        let b = LintDiag::new(LintCode::OrphanFrame, "a".into()).frame(HostFrame::new(2));
+        let a = Finding::new(FindingCode::OrphanFrame, "z".into()).frame(HostFrame::new(9));
+        let b = Finding::new(FindingCode::OrphanFrame, "a".into()).frame(HostFrame::new(2));
         let r1 = LintReport::from_diags(vec![a.clone(), b.clone()]);
         let r2 = LintReport::from_diags(vec![b, a]);
         assert_eq!(r1, r2);
         assert_eq!(r1.render(), r2.render());
         assert_eq!(r1.to_json().render(), r2.to_json().render());
         assert!(r1.has_errors());
-        assert_eq!(r1.count(LintCode::OrphanFrame), 2);
-    }
-
-    #[test]
-    fn every_code_has_distinct_label_and_severity() {
-        let labels: HashSet<&str> = LintCode::ALL.iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), LintCode::ALL.len());
-        assert_eq!(
-            LintCode::ShootdownNeverApplied.severity(),
-            LintSeverity::Warning
-        );
-        assert_eq!(LintCode::OrphanFrame.severity(), LintSeverity::Error);
+        assert_eq!(r1.count(FindingCode::OrphanFrame), 2);
     }
 }

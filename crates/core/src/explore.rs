@@ -40,9 +40,10 @@ use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
+use crate::finding::Finding;
 use crate::machine::{Cursor, Machine};
 use crate::runner::json::Json;
-use crate::snapshot::{self, machine_findings};
+use crate::snapshot;
 use agile_workloads::WorkloadSpec;
 
 /// One concurrency decision point reached during a run. The machine
@@ -167,8 +168,8 @@ pub struct CounterexampleTrace {
     pub config: String,
     /// 1-based workload event at which the findings surfaced.
     pub event: u64,
-    /// The findings at the violating state, one per line, exactly as
-    /// [`replay`] reproduces them.
+    /// The findings at the violating state, each rendered by
+    /// [`Finding`]'s `Display`, exactly as [`replay`] reproduces them.
     pub findings: Vec<String>,
     /// Workload name the schedule ran.
     pub workload: String,
@@ -332,7 +333,7 @@ struct Boundary {
 struct RunOutcome {
     trail: Vec<TrailEntry>,
     boundaries: Vec<Boundary>,
-    violation: Option<(u64, Vec<String>)>,
+    violation: Option<(u64, Vec<Finding>)>,
 }
 
 /// Executes `spec` on a fresh machine from `setup` under the scripted
@@ -354,7 +355,7 @@ fn run_one<F: Fn() -> Machine>(
     let mut boundaries = Vec::new();
     let mut violation = None;
     let mut check = |machine: &mut Machine, at: Cursor, _is_tick: bool| {
-        let findings = machine_findings(machine);
+        let findings = machine.findings();
         if !findings.is_empty() {
             violation = Some((at.events, findings));
             return ControlFlow::Break(());
@@ -421,11 +422,12 @@ fn shrink<F: Fn() -> Machine>(
 /// `setup` builds one fresh machine per schedule — arm paranoia,
 /// shootdown logging, chaos plans, or planted-bug knobs there; the
 /// explorer installs its own scripted [`Scheduler`] on top. After every
-/// workload event of every schedule the run is checked (paranoia
-/// violations, transition-differ findings, static-analyzer diagnostics);
-/// the first violating schedule is shrunk to a minimal
-/// [`CounterexampleTrace`] and the search stops. Everything is
-/// deterministic: the same inputs produce byte-identical reports.
+/// workload event of every schedule the run is checked
+/// ([`Machine::findings`]: recorded oracle and transition-differ findings
+/// plus static-analyzer findings); the first violating schedule is
+/// shrunk to a minimal [`CounterexampleTrace`] and the search stops.
+/// Everything is deterministic: the same inputs produce byte-identical
+/// reports.
 pub fn explore<F: Fn() -> Machine>(
     setup: F,
     spec: &WorkloadSpec,
@@ -471,7 +473,7 @@ pub fn explore<F: Fn() -> Machine>(
                 choices: minimized,
                 config: setup().snapshot().config_label().to_string(),
                 event,
-                findings,
+                findings: findings.iter().map(Finding::to_string).collect(),
                 workload: spec.name.clone(),
             });
             break;
@@ -518,7 +520,7 @@ pub fn replay<F: Fn() -> Machine>(
     setup: F,
     spec: &WorkloadSpec,
     trace: &CounterexampleTrace,
-) -> Option<(u64, Vec<String>)> {
+) -> Option<(u64, Vec<Finding>)> {
     run_one(&setup, spec, &trace.choices, trace.choices.len().max(1)).violation
 }
 
@@ -532,7 +534,7 @@ mod tests {
             choices: vec![0, 2, 1],
             config: "4K:A".into(),
             event: 17,
-            findings: vec!["violation[TlbHit]: stale".into()],
+            findings: vec!["error[tlb-hit]: stale".into()],
             workload: "unit".into(),
         };
         let text = trace.to_json().render();

@@ -50,10 +50,10 @@ use crate::analyze::{
 };
 use crate::chaos::{render_log, DegradationEvent, DegradationKind, FaultPlan, MAX_EVENTS};
 use crate::config::SystemConfig;
+use crate::finding::{Finding, FindingCode};
 use crate::machine::{AccessError, Machine};
 use crate::snapshot::{self, DiffIntent, ProcessImage, TransitionView};
 use crate::stats::RunStats;
-use crate::verify::Violation;
 use agile_mem::FramePool;
 use agile_types::{ProcessId, VmId};
 use agile_workloads::{Event, Workload, WorkloadSpec};
@@ -166,7 +166,7 @@ struct VmSlot {
     final_view: Option<VmFrameView>,
     /// Events and violations harvested when the machine is torn down.
     events: Vec<DegradationEvent>,
-    violations: Vec<Violation>,
+    violations: Vec<Finding>,
     /// Shootdown protocol log harvested at teardown, so the host-scope
     /// race detector still covers a VM whose machine is gone.
     shootdown_log: Option<ShootdownLog>,
@@ -848,21 +848,15 @@ impl Host {
         if !self.pool.is_conserved() {
             // free + Σleases must equal capacity; a violation means some
             // capacity is counted twice (or lost), i.e. aliased.
-            diags.push(crate::analyze::LintDiag {
-                code: crate::analyze::LintCode::CrossVmFrameAlias,
-                severity: crate::analyze::LintSeverity::Error,
-                vm: None,
-                pid: None,
-                gva: None,
-                level: None,
-                frame: None,
-                detail: format!(
+            diags.push(Finding::new(
+                FindingCode::CrossVmFrameAlias,
+                format!(
                     "pool conservation broken: {} free + {} leased != {} capacity",
                     self.pool.free(),
                     self.pool.leased_total(),
                     self.pool.capacity()
                 ),
-            });
+            ));
         }
         let mut report = LintReport::from_diags(diags);
         // A live VM's race diags arrive twice (its own lint and the
@@ -1122,7 +1116,7 @@ mod tests {
             .diags
             .iter()
             .find(|d| {
-                d.code == crate::analyze::LintCode::CrossVmFrameAlias
+                d.code == FindingCode::CrossVmFrameAlias
                     && d.frame == Some(agile_types::HostFrame::new(foreign))
             })
             .expect("planted out-of-span frame must be flagged");

@@ -41,6 +41,7 @@ pub mod chaos;
 mod config;
 pub mod experiments;
 pub mod explore;
+pub mod finding;
 pub mod host;
 mod machine;
 pub mod profile;
@@ -52,8 +53,8 @@ mod stats;
 pub mod verify;
 
 pub use analyze::{
-    check_host_frames, detect_host_shootdown_races, detect_shootdown_races, FlushScope, LintCode,
-    LintDiag, LintReport, LintSeverity, ShootdownEvent, ShootdownLog, VmFrameView, VmShootdownView,
+    check_host_frames, detect_host_shootdown_races, detect_shootdown_races, FlushScope, LintReport,
+    ShootdownEvent, ShootdownLog, VmFrameView, VmShootdownView,
 };
 pub use chaos::{
     render_log, ChaosScenario, DegradationEvent, DegradationKind, FaultPlan, ScenarioKind,
@@ -62,6 +63,7 @@ pub use config::SystemConfig;
 pub use explore::{
     explore, replay, ChoicePoint, CounterexampleTrace, ExploreConfig, ExploreReport, Scheduler,
 };
+pub use finding::{Finding, FindingCode, Severity};
 pub use host::{Host, HostConfig, MigrationOutcome};
 pub use machine::{AccessError, Cursor, Machine, RunHook};
 pub use profile::{FlushApplyStats, HotPathProfile};
@@ -76,7 +78,7 @@ pub use snapshot::{
     SNAPSHOT_VERSION,
 };
 pub use stats::{KindCounts, Overheads, RunStats};
-pub use verify::{RefTranslation, Violation, ViolationSite};
+pub use verify::RefTranslation;
 
 pub use agile_guest::{FaultError, GuestOs, OsStats, SegFault, Vma, VmaBacking};
 pub use agile_mem::{FramePool, PhysMem, VM_FRAME_SPAN};

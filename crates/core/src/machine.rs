@@ -1,16 +1,15 @@
 //! The machine: one VM (guest OS + VMM) on simulated translation hardware.
 
-use crate::analyze::{
-    self, FlushScope, LintCode, LintDiag, LintReport, ShootdownEvent, ShootdownLog,
-};
+use crate::analyze::{self, FlushScope, LintReport, ShootdownEvent, ShootdownLog};
 use crate::chaos::{
     ChaosState, DegradationEvent, DegradationKind, FaultPlan, ScenarioKind, ShootdownFate,
 };
 use crate::config::SystemConfig;
+use crate::finding::{Finding, FindingCode};
 use crate::profile::{FlushApplyStats, HotPathProfile};
 use crate::snapshot::{self, DiffIntent, MachineSnapshot};
 use crate::stats::{HotCounters, KindCounts, RunStats};
-use crate::verify::{self, Violation, ViolationSite};
+use crate::verify;
 use agile_guest::{FaultError, GuestOs, SegFault, Vma, VmaBacking};
 use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, TlbEntry, TlbHierarchy};
@@ -70,7 +69,7 @@ pub struct Machine {
     procs: Vec<ProcessId>,
     baseline: Baseline,
     trace: Option<agile_trace::TraceLog>,
-    violations: Vec<Violation>,
+    violations: Vec<Finding>,
     chaos: Option<ChaosState>,
     /// Shootdown-protocol event log for the static race detector
     /// ([`crate::analyze::detect_shootdown_races`]); `None` until enabled.
@@ -252,35 +251,39 @@ impl Machine {
 
     /// Runs the whole-state static analyzer ([`crate::analyze`]) over the
     /// paused machine: the structural page-table passes, plus — when the
-    /// shootdown log is enabled — the protocol race detector.
+    /// shootdown log is enabled — the protocol race detector. Recorded
+    /// `transition` findings join the report too: they are differ results
+    /// the analyzer cannot re-derive from one state, and with them
+    /// `lint()` alone proves transitions clean.
     #[must_use]
     pub fn lint(&mut self) -> LintReport {
         // Observe any allocation since the last access before analyzing,
         // so a free-then-reuse race right at the end is not missed.
         self.note_frame_reuse();
-        let report = analyze::analyze(&self.mem, &self.vmm, &self.tlb, self.shootdown_log.as_ref());
-        // Transition-differ findings are recorded as violations when the
-        // tick-boundary differ runs; surface them through the lint report
-        // too so `lint()` alone proves transitions clean.
-        let transition: Vec<LintDiag> = self
-            .violations
-            .iter()
-            .filter(|v| v.site == ViolationSite::Transition)
-            .map(|v| {
-                let mut diag = LintDiag::new(LintCode::TransitionDiverged, v.detail.clone());
-                if let Some(gva) = v.gva {
-                    diag = diag.gva(gva);
-                }
-                diag
-            })
-            .collect();
-        if transition.is_empty() {
-            report
-        } else {
-            let mut diags = report.diags;
-            diags.extend(transition);
-            LintReport::from_diags(diags)
+        let mut diags =
+            analyze::analyze(&self.mem, &self.vmm, &self.tlb, self.shootdown_log.as_ref()).diags;
+        diags.extend(
+            self.violations
+                .iter()
+                .filter(|v| v.code == FindingCode::Transition)
+                .cloned(),
+        );
+        LintReport::from_diags(diags)
+    }
+
+    /// Every reason the paused machine is not clean: the recorded
+    /// findings ([`Machine::violations`]), then the static analyzer's,
+    /// each distinct finding once. The bisector and the explorer both
+    /// define "violating state" as "this list is non-empty".
+    #[must_use]
+    pub fn findings(&mut self) -> Vec<Finding> {
+        let mut out: Vec<Finding> = Vec::new();
+        for f in self.violations.clone().into_iter().chain(self.lint().diags) {
+            if !out.contains(&f) {
+                out.push(f);
+            }
         }
+        out
     }
 
     fn log_shootdown(&mut self, event: ShootdownEvent) {
@@ -358,9 +361,9 @@ impl Machine {
             .map_or_else(Vec::new, |c| c.take_events())
     }
 
-    /// Records oracle violations found outside the machine's own checks
+    /// Records oracle findings found outside the machine's own checks
     /// (e.g. the host's migration differ), capped like every other source.
-    pub(crate) fn record_violations(&mut self, found: impl IntoIterator<Item = Violation>) {
+    pub(crate) fn record_violations(&mut self, found: impl IntoIterator<Item = Finding>) {
         for v in found {
             if self.violations.len() >= MAX_VIOLATIONS {
                 break;
@@ -369,16 +372,16 @@ impl Machine {
         }
     }
 
-    /// Paranoia violations collected so far (empty unless
+    /// Oracle findings recorded so far (empty unless
     /// [`SystemConfig::paranoia`] is on and the oracles found a
     /// disagreement).
     #[must_use]
-    pub fn violations(&self) -> &[Violation] {
+    pub fn violations(&self) -> &[Finding] {
         &self.violations
     }
 
-    /// Drains the collected paranoia violations.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
+    /// Drains the recorded oracle findings.
+    pub fn take_violations(&mut self) -> Vec<Finding> {
         std::mem::take(&mut self.violations)
     }
 
@@ -388,7 +391,7 @@ impl Machine {
     /// architectural page tables. Returns what it found (nothing is
     /// recorded on the machine).
     #[must_use]
-    pub fn audit(&self) -> Vec<Violation> {
+    pub fn audit(&self) -> Vec<Finding> {
         verify::audit_coherence(&self.mem, &self.vmm, &self.tlb, &self.pwc, &self.ntlb)
     }
 
@@ -985,7 +988,7 @@ impl Machine {
     /// finding. Returns the residual violations (empty when healing fully
     /// restored coherence, which it must for the chaos contract). Requires
     /// chaos to be armed; without it, findings are recorded unhealed.
-    pub fn heal_stale_caches(&mut self) -> Vec<Violation> {
+    pub fn heal_stale_caches(&mut self) -> Vec<Finding> {
         let found = self.audit();
         if found.is_empty() {
             return Vec::new();
@@ -1060,14 +1063,7 @@ impl Machine {
         let gva = GuestVirtAddr::new(va);
         if let Some(entry) = self.tlb.lookup(asid, gva, access) {
             let stale = if self.cfg.paranoia {
-                verify::check_tlb_entry(
-                    &self.mem,
-                    &self.vmm,
-                    pid,
-                    va,
-                    &entry,
-                    crate::verify::ViolationSite::TlbHit,
-                )
+                verify::check_tlb_entry(&self.mem, &self.vmm, pid, va, &entry, FindingCode::TlbHit)
             } else {
                 None
             };
@@ -1441,7 +1437,7 @@ impl Machine {
     /// shadow leaf, and let the access retry. `false` when chaos is off or
     /// the per-access heal budget is spent (the violation is then surfaced
     /// unhealed).
-    fn heal_translation(&mut self, pid: ProcessId, va: u64, why: &Violation) -> bool {
+    fn heal_translation(&mut self, pid: ProcessId, va: u64, why: &Finding) -> bool {
         let Some(c) = self.chaos.as_mut() else {
             return false;
         };
@@ -1470,7 +1466,7 @@ impl Machine {
     /// deferred) shootdown: flushes every caching structure, records one
     /// heal per finding, and returns the residual violations of a clean
     /// re-audit.
-    fn heal_audit_violations(&mut self, found: Vec<Violation>) -> Vec<Violation> {
+    fn heal_audit_violations(&mut self, found: Vec<Finding>) -> Vec<Finding> {
         // All processes the VMM knows (sorted), not just the workload's
         // event-indexed ones: migrated-in and host-service processes need
         // their caches purged too.
@@ -1680,14 +1676,7 @@ impl Machine {
                             snapshot::diff(&before, &after, DiffIntent::TechniqueSwitch);
                         // The after-state must also keep the Figure 3
                         // split: shadow above, nested below.
-                        let mut partition = Vec::new();
-                        analyze::check_mode_partition(&self.mem, &self.vmm, &mut partition);
-                        found.extend(partition.into_iter().map(|d| Violation {
-                            site: ViolationSite::Transition,
-                            gva: d.gva,
-                            level: d.level,
-                            detail: d.detail,
-                        }));
+                        analyze::check_mode_partition(&self.mem, &self.vmm, &mut found);
                         self.record_violations(found);
                     }
                 }
@@ -2161,7 +2150,7 @@ mod tests {
     }
 
     #[test]
-    fn malformed_partition_is_a_transition_violation() {
+    fn malformed_partition_is_reported_once() {
         // SHSP's nested phase keeps every guest table page nested. Mark
         // one below the root synced: the walk path would switch back from
         // nested to shadow, breaking the Figure 3 split.
@@ -2181,13 +2170,35 @@ mod tests {
             .vmm
             .chaos_corrupt_page_mode(pid, child, GptPageMode::Synced));
         m.run_event(Event::Tick);
-        assert!(
-            m.violations()
-                .iter()
-                .any(|v| v.site == ViolationSite::Transition
-                    && v.detail.contains("is nested but its child")),
-            "{:?}",
-            m.violations()
+        // The tick's checker records it and the static analyzer re-derives
+        // it: one broken edge, one finding.
+        let findings = m.findings();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].code, FindingCode::ModePartition);
+        assert_eq!(findings[0].pid, Some(pid));
+        assert!(findings[0].detail.contains("is nested but its child"));
+        assert_eq!(m.violations(), &findings[..], "recorded at the tick");
+    }
+
+    #[test]
+    fn recorded_findings_survive_a_snapshot_round_trip() {
+        let cfg = SystemConfig::new(Technique::Agile(AgileOptions::default()));
+        let mut m = Machine::new(cfg);
+        m.run_spec(&small_spec(500));
+        m.record_violations([Finding::new(FindingCode::StalePwc, "planted".into())
+            .vm(VmId::new(0))
+            .pid(ProcessId::new(1))
+            .gva(0x7000)
+            .level(Level::L2)
+            .frame(HostFrame::new(0x42))]);
+        let bytes = m.snapshot().to_bytes();
+        let snap = MachineSnapshot::from_bytes(&bytes).expect("parses");
+        let back = Machine::restore(cfg, &snap).expect("restores");
+        assert_eq!(back.violations(), m.violations());
+        assert_eq!(
+            back.snapshot().to_bytes(),
+            bytes,
+            "re-snapshot is identical"
         );
     }
 

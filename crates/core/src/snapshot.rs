@@ -29,8 +29,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::finding::{Finding, FindingCode};
 use crate::machine::{Cursor, Machine, RunHook};
-use crate::verify::{self, Violation, ViolationSite};
+use crate::verify;
 use agile_guest::GuestOs;
 use agile_mem::PhysMem;
 use agile_types::{CodecError, Dec, Enc, PageSize, ProcessId, VmId};
@@ -471,15 +472,13 @@ const MAX_DIFF_VIOLATIONS: usize = 32;
 /// differ on the destination machine, and page-table-page identities are
 /// not comparable at all.
 #[must_use]
-pub fn diff(before: &TransitionView, after: &TransitionView, intent: DiffIntent) -> Vec<Violation> {
+pub fn diff(before: &TransitionView, after: &TransitionView, intent: DiffIntent) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut report = |gva: Option<u64>, detail: String| {
         if out.len() < MAX_DIFF_VIOLATIONS {
-            out.push(Violation {
-                site: ViolationSite::Transition,
+            out.push(Finding {
                 gva,
-                level: None,
-                detail,
+                ..Finding::new(FindingCode::Transition, detail)
             });
         }
     };
@@ -603,41 +602,21 @@ pub struct BisectReport {
     pub first_bad_tick: u64,
     /// Workload events replayed from the checkpoint to the violation.
     pub events_replayed: u64,
-    /// Violation/diagnostic summaries observed at the first bad tick.
-    pub findings: Vec<String>,
+    /// What [`Machine::findings`] reported at the first bad tick.
+    pub findings: Vec<Finding>,
     /// True when even the oldest retained checkpoint was already dirty:
     /// the true first bad tick precedes the ring's window, and
     /// `first_bad_tick` is only an upper bound.
     pub truncated: bool,
 }
 
-/// Every reason the paused `machine` is not clean, rendered one finding
-/// per line: recorded paranoia/differ violations first, then static-
-/// analyzer diagnostics. Shared by the bisector and the explorer — both
-/// define "violating state" as "this list is non-empty".
-pub(crate) fn machine_findings(machine: &mut Machine) -> Vec<String> {
-    let mut findings: Vec<String> = machine
-        .violations()
-        .iter()
-        .map(|v| format!("violation[{:?}]: {}", v.site, v.detail))
-        .collect();
-    findings.extend(
-        machine
-            .lint()
-            .diags
-            .iter()
-            .map(|d| format!("lint[{}]: {}", d.code.label(), d.detail)),
-    );
-    findings
-}
-
 /// Replays a run from the retained checkpoints of a [`CheckpointRing`]
 /// and pins the first violating tick — the ROADMAP's time-travel rung.
 ///
 /// The ring is walked newest-to-oldest for a checkpoint that restores
-/// *clean* (no stored violations, no lint diagnostics); from there the
-/// workload is replayed event by event, checking the paranoia violations
-/// and the static analyzer after each, until the first finding appears.
+/// *clean* (empty [`Machine::findings`]: no recorded oracle finding, no
+/// static-analyzer finding); from there the workload is replayed event by
+/// event, checking [`Machine::findings`] after each, until one appears.
 /// Chaos plans ride along inside the snapshot (seed, dice state, and the
 /// one-shot scenario cursor), so injected faults re-fire identically on
 /// replay; control-plane test knobs do not — re-arm those through
@@ -681,7 +660,7 @@ pub fn bisect_violation_with(
         if machine.restore_from(&cp.snapshot).is_err() {
             continue;
         }
-        let dirty = !machine_findings(&mut machine).is_empty();
+        let dirty = !machine.findings().is_empty();
         let truncated = dirty && checkpoints.is_empty();
         if dirty && !truncated {
             continue;
@@ -691,7 +670,7 @@ pub fn bisect_violation_with(
     }
     let (cp, mut machine, truncated) = start?;
     if truncated {
-        let findings = machine_findings(&mut machine);
+        let findings = machine.findings();
         return Some(BisectReport {
             from_ticks: cp.cursor.ticks,
             first_bad_tick: cp.cursor.ticks,
@@ -702,7 +681,7 @@ pub fn bisect_violation_with(
     }
     let mut report = None;
     let mut first_finding = |machine: &mut Machine, at: Cursor, is_tick: bool| {
-        let findings = machine_findings(machine);
+        let findings = machine.findings();
         if findings.is_empty() {
             return ControlFlow::Continue(());
         }
@@ -807,7 +786,7 @@ mod tests {
         after.chaos_skew_leaf(0);
         let switch = diff(&before, &after, DiffIntent::TechniqueSwitch);
         assert_eq!(switch.len(), 1);
-        assert_eq!(switch[0].site, ViolationSite::Transition);
+        assert_eq!(switch[0].code, FindingCode::Transition);
         assert!(diff(&before, &after, DiffIntent::Migration).is_empty());
         after.chaos_flip_writable(0);
         assert_eq!(diff(&before, &after, DiffIntent::Migration).len(), 1);

@@ -27,128 +27,21 @@
 //!
 //! All oracles are strictly read-only: enabling
 //! [`crate::SystemConfig::paranoia`] changes wall-clock time, never
-//! results or fingerprints. Violations are reported as structured
-//! [`Violation`] values carrying the offending gVA/level/mode rather than
-//! bare panics, so callers can collect, render, or assert on them.
+//! results or fingerprints. A broken check is reported as a [`Finding`]
+//! — the one type the static analyzer, the transition differ and the
+//! explorer also report with — whose [`FindingCode`] is one of the seven
+//! oracle codes (`tlb-hit`, `walk`, `stale-tlb`, `stale-pwc`,
+//! `stale-ntlb`, `stats`, `transition`) and which carries the offending
+//! process/gVA/level, so callers can collect, render, or assert on it.
 
 use crate::config::SystemConfig;
+use crate::finding::{Finding, FindingCode};
 use crate::stats::RunStats;
 use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, TlbEntry, TlbHierarchy};
-use agile_types::{Asid, CodecError, Dec, Enc, GuestFrame, Level, PageSize, Persist, ProcessId};
+use agile_types::{Asid, GuestFrame, Level, PageSize, ProcessId};
 use agile_vmm::{Vmm, VmtrapKind};
 use agile_walk::{WalkKind, WalkOk};
-
-/// Where a violation was detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViolationSite {
-    /// A TLB hit disagreed with the reference translator.
-    TlbHit,
-    /// A completed walk disagreed with the reference translator.
-    Walk,
-    /// A stale entry survived in the TLB hierarchy.
-    StaleTlb,
-    /// A stale entry survived in the page-walk caches.
-    StalePwc,
-    /// A stale entry survived in the nested TLB.
-    StaleNtlb,
-    /// A [`RunStats`] conservation identity failed.
-    Stats,
-    /// A technique-switch (or migration) transition changed the
-    /// translation function or left the switching partition malformed
-    /// (found by the two-state differ, [`crate::snapshot::diff`]).
-    Transition,
-}
-
-impl ViolationSite {
-    /// Stable identifier used in rendered reports and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ViolationSite::TlbHit => "tlb-hit",
-            ViolationSite::Walk => "walk",
-            ViolationSite::StaleTlb => "stale-tlb",
-            ViolationSite::StalePwc => "stale-pwc",
-            ViolationSite::StaleNtlb => "stale-ntlb",
-            ViolationSite::Stats => "stats",
-            ViolationSite::Transition => "transition",
-        }
-    }
-
-    /// Every site, in tag order (the [`Persist`] encoding's order).
-    pub const ALL: [ViolationSite; 7] = [
-        ViolationSite::TlbHit,
-        ViolationSite::Walk,
-        ViolationSite::StaleTlb,
-        ViolationSite::StalePwc,
-        ViolationSite::StaleNtlb,
-        ViolationSite::Stats,
-        ViolationSite::Transition,
-    ];
-}
-
-impl Persist for ViolationSite {
-    fn save(&self, e: &mut Enc) {
-        let tag = ViolationSite::ALL
-            .iter()
-            .position(|s| s == self)
-            .expect("site in ALL") as u8;
-        e.u8(tag);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        let tag = d.u8()?;
-        ViolationSite::ALL
-            .get(usize::from(tag))
-            .copied()
-            .map_or_else(|| d.fail(format!("bad ViolationSite tag {tag}")), Ok)
-    }
-}
-
-/// One oracle violation: the check that failed, the translation it
-/// concerns, and a human-readable explanation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Which oracle caught it.
-    pub site: ViolationSite,
-    /// Offending guest virtual address, when the check concerns one.
-    pub gva: Option<u64>,
-    /// Page-table level involved, when known.
-    pub level: Option<Level>,
-    /// What exactly disagreed.
-    pub detail: String,
-}
-
-impl Persist for Violation {
-    fn save(&self, e: &mut Enc) {
-        self.site.save(e);
-        self.gva.save(e);
-        self.level.save(e);
-        e.str(&self.detail);
-    }
-    fn load(d: &mut Dec) -> Result<Self, CodecError> {
-        Ok(Violation {
-            site: ViolationSite::load(d)?,
-            gva: Option::<u64>::load(d)?,
-            level: Option::<Level>::load(d)?,
-            detail: d.str()?,
-        })
-    }
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}]", self.site.label())?;
-        if let Some(gva) = self.gva {
-            write!(f, " gva={gva:#x}")?;
-        }
-        if let Some(level) = self.level {
-            write!(f, " level={level:?}")?;
-        }
-        write!(f, ": {}", self.detail)
-    }
-}
-
-impl std::error::Error for Violation {}
 
 /// The reference translator's answer for one gVA: what the architectural
 /// page tables say, independent of every caching structure.
@@ -231,16 +124,9 @@ pub fn check_tlb_entry(
     pid: ProcessId,
     gva: u64,
     entry: &TlbEntry,
-    site: ViolationSite,
-) -> Option<Violation> {
-    let violation = |detail: String| {
-        Some(Violation {
-            site,
-            gva: Some(gva),
-            level: None,
-            detail,
-        })
-    };
+    code: FindingCode,
+) -> Option<Finding> {
+    let violation = |detail: String| Some(Finding::new(code, detail).pid(pid).gva(gva));
     let Some(reference) = reference_translate(mem, vmm, pid, gva) else {
         return violation(format!(
             "TLB maps unbacked gva to frame {} ({}, pid {})",
@@ -292,48 +178,34 @@ pub fn check_walk(
     pid: ProcessId,
     gva: u64,
     ok: &WalkOk,
-) -> Vec<Violation> {
+) -> Vec<Finding> {
     let mut out = Vec::new();
     let entry = TlbEntry::new(ok.frame, ok.size, ok.writable);
-    if let Some(v) = check_tlb_entry(mem, vmm, pid, gva, &entry, ViolationSite::Walk) {
+    if let Some(v) = check_tlb_entry(mem, vmm, pid, gva, &entry, FindingCode::Walk) {
         out.push(v);
     }
+    let walk_finding = |detail: String| Finding::new(FindingCode::Walk, detail).pid(pid).gva(gva);
     let expected = ok.kind.expected_refs_4k();
     let exact_regime = !cfg.pwc.enabled
         && !ok.resumed_from_pwc
         && reference_translate(mem, vmm, pid, gva)
             .is_some_and(|r| r.guest_size == PageSize::Size4K && r.host_size == PageSize::Size4K);
     if exact_regime && ok.refs != expected {
-        out.push(Violation {
-            site: ViolationSite::Walk,
-            gva: Some(gva),
-            level: None,
-            detail: format!(
-                "{:?} walk made {} references, Table II says exactly {expected}",
-                ok.kind, ok.refs
-            ),
-        });
+        out.push(walk_finding(format!(
+            "{:?} walk made {} references, Table II says exactly {expected}",
+            ok.kind, ok.refs
+        )));
     } else if ok.refs == 0 || ok.refs > expected {
-        out.push(Violation {
-            site: ViolationSite::Walk,
-            gva: Some(gva),
-            level: None,
-            detail: format!(
-                "{:?} walk made {} references, outside 1..={expected}",
-                ok.kind, ok.refs
-            ),
-        });
+        out.push(walk_finding(format!(
+            "{:?} walk made {} references, outside 1..={expected}",
+            ok.kind, ok.refs
+        )));
     }
     if ok.host_refs > ok.refs {
-        out.push(Violation {
-            site: ViolationSite::Walk,
-            gva: Some(gva),
-            level: None,
-            detail: format!(
-                "walk counted {} host references out of {} total",
-                ok.host_refs, ok.refs
-            ),
-        });
+        out.push(walk_finding(format!(
+            "walk counted {} host references out of {} total",
+            ok.host_refs, ok.refs
+        )));
     }
     out
 }
@@ -350,7 +222,7 @@ pub fn audit_coherence(
     tlb: &TlbHierarchy,
     pwc: &PageWalkCaches,
     ntlb: &NestedTlb,
-) -> Vec<Violation> {
+) -> Vec<Finding> {
     audit_coherence_impl(mem, vmm, tlb, pwc, ntlb, None)
 }
 
@@ -374,7 +246,7 @@ pub fn audit_coherence_range(
     asid: Asid,
     start: u64,
     len: u64,
-) -> Vec<Violation> {
+) -> Vec<Finding> {
     audit_coherence_impl(mem, vmm, tlb, pwc, ntlb, Some((asid, start, len)))
 }
 
@@ -385,7 +257,7 @@ fn audit_coherence_impl(
     pwc: &PageWalkCaches,
     ntlb: &NestedTlb,
     scope: Option<(Asid, u64, u64)>,
-) -> Vec<Violation> {
+) -> Vec<Finding> {
     let mut out = Vec::new();
     for (asid, va, entry) in tlb.entries() {
         if let Some((scope_asid, start, len)) = scope {
@@ -398,7 +270,7 @@ fn audit_coherence_impl(
         if !vmm.knows_process(pid) {
             continue;
         }
-        if let Some(v) = check_tlb_entry(mem, vmm, pid, va.raw(), &entry, ViolationSite::StaleTlb) {
+        if let Some(v) = check_tlb_entry(mem, vmm, pid, va.raw(), &entry, FindingCode::StaleTlb) {
             out.push(v);
         }
     }
@@ -428,15 +300,18 @@ fn audit_coherence_impl(
         // live page-table page — a pointer into freed or data memory means
         // a shootdown was missed.
         if !mem.is_table(entry.frame) {
-            out.push(Violation {
-                site: ViolationSite::StalePwc,
-                gva: Some(prefix << next_level.index_shift()),
-                level: Some(next_level),
-                detail: format!(
-                    "PWC caches {:?}-mode pointer to {} which is not a table page",
-                    entry.kind, entry.frame,
-                ),
-            });
+            out.push(
+                Finding::new(
+                    FindingCode::StalePwc,
+                    format!(
+                        "PWC caches {:?}-mode pointer to {} which is not a table page",
+                        entry.kind, entry.frame,
+                    ),
+                )
+                .pid(pid)
+                .gva(prefix << next_level.index_shift())
+                .level(next_level),
+            );
         }
     }
     for (vm, gframe, entry) in ntlb.entries() {
@@ -447,15 +322,13 @@ fn audit_coherence_impl(
             .hpt_lookup(mem, gframe.base().raw())
             .filter(|(hpte, _)| hpte.is_present());
         let Some((hpte, hlevel)) = host else {
-            out.push(Violation {
-                site: ViolationSite::StaleNtlb,
-                gva: None,
-                level: None,
-                detail: format!(
+            out.push(Finding::new(
+                FindingCode::StaleNtlb,
+                format!(
                     "nested TLB maps unbacked gPA frame {gframe} to {}",
                     entry.frame
                 ),
-            });
+            ));
             continue;
         };
         let Some(host_size) = hpte.leaf_size(hlevel) else {
@@ -463,27 +336,29 @@ fn audit_coherence_impl(
         };
         let expect = hpte.host_frame().add(gframe.raw() % host_size.base_pages());
         if entry.frame != expect || entry.size != host_size {
-            out.push(Violation {
-                site: ViolationSite::StaleNtlb,
-                gva: None,
-                level: Some(hlevel),
-                detail: format!(
-                    "nested TLB maps gPA frame {gframe} to {} ({}), host table says {} ({})",
-                    entry.frame,
-                    entry.size.label(),
-                    expect,
-                    host_size.label(),
-                ),
-            });
+            out.push(
+                Finding::new(
+                    FindingCode::StaleNtlb,
+                    format!(
+                        "nested TLB maps gPA frame {gframe} to {} ({}), host table says {} ({})",
+                        entry.frame,
+                        entry.size.label(),
+                        expect,
+                        host_size.label(),
+                    ),
+                )
+                .level(hlevel),
+            );
         } else if entry.writable && !hpte.is_writable() {
-            out.push(Violation {
-                site: ViolationSite::StaleNtlb,
-                gva: None,
-                level: Some(hlevel),
-                detail: format!(
-                    "nested TLB entry for gPA frame {gframe} permits writes the host table forbids"
-                ),
-            });
+            out.push(
+                Finding::new(
+                    FindingCode::StaleNtlb,
+                    format!(
+                        "nested TLB entry for gPA frame {gframe} permits writes the host table forbids"
+                    ),
+                )
+                .level(hlevel),
+            );
         }
     }
     out
@@ -491,16 +366,9 @@ fn audit_coherence_impl(
 
 /// Checks the conservation identities on a [`RunStats`] snapshot.
 #[must_use]
-pub fn check_stats(stats: &RunStats, cfg: &SystemConfig) -> Vec<Violation> {
+pub fn check_stats(stats: &RunStats, cfg: &SystemConfig) -> Vec<Finding> {
     let mut out = Vec::new();
-    let mut fail = |detail: String| {
-        out.push(Violation {
-            site: ViolationSite::Stats,
-            gva: None,
-            level: None,
-            detail,
-        });
-    };
+    let mut fail = |detail: String| out.push(Finding::new(FindingCode::Stats, detail));
     let w = &stats.walks;
     if w.refs_shadow + w.refs_guest + w.refs_host != w.memory_refs {
         fail(format!(

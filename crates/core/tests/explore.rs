@@ -20,8 +20,8 @@
 
 use agile_core::{
     bisect_violation, bisect_violation_with, explore, replay, AgileOptions, CheckpointRing,
-    ChurnSpec, CounterexampleTrace, Cursor, ExploreConfig, FaultPlan, Machine, Pattern,
-    ScenarioKind, ShspOptions, SystemConfig, Technique, WorkloadSpec,
+    ChurnSpec, CounterexampleTrace, Cursor, ExploreConfig, FaultPlan, Finding, FindingCode,
+    Machine, Pattern, ScenarioKind, ShspOptions, SystemConfig, Technique, WorkloadSpec,
 };
 
 /// Runs `spec` on `machine` while keeping its last four per-tick
@@ -30,6 +30,11 @@ fn run_with_ring(machine: &mut Machine, spec: &WorkloadSpec) -> CheckpointRing {
     let ring = CheckpointRing::new(4);
     machine.run_spec_from(spec, 0, Cursor::default(), &mut [&mut ring.every(1)]);
     ring
+}
+
+/// Findings as a counterexample trace stores them.
+fn as_strings(findings: &[Finding]) -> Vec<String> {
+    findings.iter().map(Finding::to_string).collect()
 }
 
 fn all_techniques() -> [Technique; 5] {
@@ -198,7 +203,12 @@ fn explorer_rediscovers_the_replanted_missed_flush_bug() {
     // event.
     let (event, findings) = replay(replanted_setup, &spec, trace).expect("trace must replay");
     assert_eq!(event, trace.event, "replay diverged in time");
-    assert_eq!(findings, trace.findings, "replay diverged in findings");
+    assert_eq!(
+        as_strings(&findings),
+        trace.findings,
+        "replay diverged in findings"
+    );
+    assert_eq!(findings[0].code, FindingCode::TlbHit, "caught on a TLB hit");
     // 1-minimality: flipping any surviving non-default choice back to
     // the default schedule loses nothing the shrinker could have taken.
     for (i, &c) in trace.choices.iter().enumerate() {
@@ -231,7 +241,7 @@ fn counterexample_trace_json_is_byte_stable_and_replays_from_parse() {
         "re-render is not byte-stable"
     );
     let (_, findings) = replay(replanted_setup, &spec, &parsed).expect("parsed trace replays");
-    assert_eq!(findings, trace.findings);
+    assert_eq!(as_strings(&findings), trace.findings);
 }
 
 #[test]
@@ -274,13 +284,11 @@ fn bisector_pins_the_first_violating_tick() {
             report.first_bad_tick > report.from_ticks,
             "replay starts strictly before the violation"
         );
-        // Bisection on the planted machine must rediscover the same
-        // class of violation the run itself recorded.
-        assert!(
-            planted
-                .violations()
-                .iter()
-                .any(|v| report.findings.iter().any(|f| f.contains(&v.detail))),
+        // Bisection on the planted machine must rediscover exactly the
+        // first violation the run itself recorded.
+        assert_eq!(
+            report.findings.first(),
+            planted.violations().first(),
             "bisector findings {:?} disagree with the run's violations",
             report.findings
         );

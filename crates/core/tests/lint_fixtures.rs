@@ -1,13 +1,13 @@
 //! Planted-violation fixtures for the static analyzer: each test builds
 //! one specifically broken machine state at the substrate level (physical
 //! memory + VMM, bypassing the `Machine` so tables can be corrupted
-//! directly) and asserts the exact [`LintCode`] fires. The companion
+//! directly) and asserts the exact [`FindingCode`] fires. The companion
 //! clean-state tests prove the same hand-built states analyze clean
 //! *before* the corruption, so every diagnostic is attributable to the
 //! planted fault alone.
 
-use agile_core::analyze::{analyze, LintCode, LintReport, ShootdownEvent, ShootdownLog};
-use agile_core::FlushScope;
+use agile_core::analyze::{analyze, LintReport, ShootdownEvent, ShootdownLog};
+use agile_core::{FindingCode, FlushScope};
 use agile_mem::PhysMem;
 use agile_tlb::{TlbConfig, TlbEntry, TlbHierarchy};
 use agile_types::{
@@ -94,7 +94,7 @@ impl Fixture {
     }
 }
 
-fn assert_fires(report: &LintReport, code: LintCode) {
+fn assert_fires(report: &LintReport, code: FindingCode) {
     assert!(
         report.count(code) >= 1,
         "expected {code:?} to fire, got:\n{}",
@@ -136,7 +136,7 @@ fn orphan_frame_fires() {
     // A table page allocated behind the VMM's back is reachable from
     // nothing: a leak.
     let _ = f.mem.alloc_table_page();
-    assert_fires(&f.lint(), LintCode::OrphanFrame);
+    assert_fires(&f.lint(), FindingCode::OrphanFrame);
 }
 
 #[test]
@@ -148,7 +148,7 @@ fn multi_owned_frame_fires() {
     let sptr = f.spt_root();
     let hptr = f.vmm.hptr();
     f.mem.write_pte(hptr, f.free_root_slot(), Pte::table(sptr));
-    assert_fires(&f.lint(), LintCode::MultiOwnedFrame);
+    assert_fires(&f.lint(), FindingCode::MultiOwnedFrame);
 }
 
 #[test]
@@ -159,7 +159,7 @@ fn dangling_table_pointer_fires() {
     let sptr = f.spt_root();
     f.mem
         .write_pte(sptr, f.free_root_slot(), Pte::table(HostFrame::new(0xdead)));
-    assert_fires(&f.lint(), LintCode::DanglingTablePointer);
+    assert_fires(&f.lint(), FindingCode::DanglingTablePointer);
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn unbacked_guest_table_fires() {
         .expect("guest tables exist");
     let backing = f.vmm.backing(victim).expect("registered pages are backed");
     f.mem.free_table_page(backing);
-    assert_fires(&f.lint(), LintCode::UnbackedGuestTable);
+    assert_fires(&f.lint(), FindingCode::UnbackedGuestTable);
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn shadow_frame_mismatch_fires() {
     let pte = f.mem.read_pte(l1, idx);
     f.mem
         .write_pte(l1, idx, Pte::new(pte.frame_raw() + 1, pte.flags()));
-    assert_fires(&f.lint(), LintCode::ShadowFrameMismatch);
+    assert_fires(&f.lint(), FindingCode::ShadowFrameMismatch);
 }
 
 #[test]
@@ -197,7 +197,7 @@ fn shadow_perm_exceeds_fires() {
     let idx = GuestVirtAddr::new(VA).index(Level::L1);
     let pte = f.mem.read_pte(l1, idx);
     f.mem.write_pte(l1, idx, pte.with_flags(PteFlags::WRITABLE));
-    assert_fires(&f.lint(), LintCode::ShadowPermExceeds);
+    assert_fires(&f.lint(), FindingCode::ShadowPermExceeds);
 }
 
 #[test]
@@ -209,7 +209,7 @@ fn ad_bit_inconsistent_fires() {
     let idx = GuestVirtAddr::new(VA).index(Level::L1);
     let pte = f.mem.read_pte(l1, idx);
     f.mem.write_pte(l1, idx, pte.with_flags(PteFlags::DIRTY));
-    assert_fires(&f.lint(), LintCode::AdBitInconsistent);
+    assert_fires(&f.lint(), FindingCode::AdBitInconsistent);
 }
 
 #[test]
@@ -226,7 +226,7 @@ fn switching_bit_forbidden_fires() {
         f.free_root_slot(),
         Pte::new(target.raw(), PteFlags::PRESENT.union(PteFlags::SWITCHING)),
     );
-    assert_fires(&f.lint(), LintCode::SwitchingBitForbidden);
+    assert_fires(&f.lint(), FindingCode::SwitchingBitForbidden);
 }
 
 #[test]
@@ -240,7 +240,7 @@ fn switching_target_invalid_fires() {
         f.free_root_slot(),
         Pte::new(0x9999, PteFlags::PRESENT.union(PteFlags::SWITCHING)),
     );
-    assert_fires(&f.lint(), LintCode::SwitchingTargetInvalid);
+    assert_fires(&f.lint(), FindingCode::SwitchingTargetInvalid);
 }
 
 #[test]
@@ -259,7 +259,7 @@ fn shadow_below_switching_fires() {
             PteFlags::PRESENT.union(PteFlags::SWITCHING),
         ),
     );
-    assert_fires(&f.lint(), LintCode::ShadowBelowSwitching);
+    assert_fires(&f.lint(), FindingCode::ShadowBelowSwitching);
 }
 
 #[test]
@@ -272,7 +272,7 @@ fn mode_partition_fires() {
     assert!(f
         .vmm
         .chaos_corrupt_page_mode(f.pid, root, GptPageMode::Nested));
-    assert_fires(&f.lint(), LintCode::ModePartition);
+    assert_fires(&f.lint(), FindingCode::ModePartition);
 }
 
 #[test]
@@ -286,7 +286,7 @@ fn huge_alias_conflict_fires_for_oversized_leaf() {
     let l1_leaf = f.mem.read_pte(f.spt_table_at(Level::L1), 0);
     f.mem
         .write_pte(l2, idx, Pte::leaf(l1_leaf.frame_raw(), true, true));
-    assert_fires(&f.lint(), LintCode::HugeAliasConflict);
+    assert_fires(&f.lint(), FindingCode::HugeAliasConflict);
 }
 
 #[test]
@@ -307,7 +307,7 @@ fn huge_alias_conflict_fires_for_disagreeing_tlb_overlap() {
         TlbEntry::new(HostFrame::new(0x999), PageSize::Size4K, true),
     );
     let report = analyze(&f.mem, &f.vmm, &tlb, None);
-    assert_fires(&report, LintCode::HugeAliasConflict);
+    assert_fires(&report, FindingCode::HugeAliasConflict);
 }
 
 #[test]
@@ -357,7 +357,7 @@ fn missed_shootdown_reuse_fires_through_analyze() {
         frame: HostFrame::new(77),
     });
     let report = analyze(&f.mem, &f.vmm, &empty_tlb(), Some(&log));
-    assert_fires(&report, LintCode::MissedShootdownReuse);
+    assert_fires(&report, FindingCode::MissedShootdownReuse);
 }
 
 #[test]
@@ -376,7 +376,7 @@ fn shootdown_never_applied_fires_through_analyze() {
         frame: HostFrame::new(42),
     });
     let report = analyze(&f.mem, &f.vmm, &empty_tlb(), Some(&log));
-    assert_fires(&report, LintCode::ShootdownNeverApplied);
+    assert_fires(&report, FindingCode::ShootdownNeverApplied);
     assert!(!report.has_errors(), "an open window without reuse warns");
 }
 

@@ -4,7 +4,7 @@
 //! function of machine state (same fault plan ⇒ byte-identical render).
 
 use agile_paging::prelude::*;
-use agile_paging::{Event, LintCode, ScenarioKind};
+use agile_paging::{Event, FindingCode, ScenarioKind};
 
 const BASE: u64 = 0x7000_0000_0000;
 
@@ -186,12 +186,12 @@ fn lint_sees_a_statically_visible_planted_fault_or_the_machine_healed_it() {
         .iter()
         .any(|e| e.kind == DegradationKind::HealedTranslation);
     assert!(
-        healed || report.count(LintCode::ShadowFrameMismatch) >= 1,
+        healed || report.count(FindingCode::ShadowFrameMismatch) >= 1,
         "planted shadow corruption must be healed or visible:\n{}",
         report.render()
     );
     assert!(
-        report.count(LintCode::ShadowFrameMismatch) >= 1,
+        report.count(FindingCode::ShadowFrameMismatch) >= 1,
         "the untouched victim leaf is invisible at runtime; lint must see it:\n{}",
         report.render()
     );
@@ -213,7 +213,7 @@ fn guest_pte_corruption_in_the_sync_window_is_legal_then_heals() {
         m.touch(BASE + i * 0x1000, true).unwrap();
     }
     assert_eq!(
-        m.lint().count(LintCode::ShadowFrameMismatch),
+        m.lint().count(FindingCode::ShadowFrameMismatch),
         0,
         "unsynced staleness is legal:\n{}",
         m.lint().render()

@@ -14,8 +14,8 @@ use agile_paging::types::SplitMix64;
 use agile_paging::types::{Asid, HostFrame, PageSize};
 use agile_paging::verify;
 use agile_paging::{
-    AgileOptions, ChurnSpec, Event, Machine, Pattern, ShspOptions, SystemConfig, Technique,
-    TlbEntry, ViolationSite, WalkKind, WorkloadSpec,
+    AgileOptions, ChurnSpec, Event, FindingCode, Machine, Pattern, ShspOptions, SystemConfig,
+    Technique, TlbEntry, WalkKind, WorkloadSpec,
 };
 
 const CASES: u64 = 4;
@@ -176,7 +176,7 @@ fn audit_catches_planted_stale_entries() {
     );
     let found = m.audit();
     assert!(
-        found.iter().any(|v| v.site == ViolationSite::StaleTlb
+        found.iter().any(|v| v.code == FindingCode::StaleTlb
             && v.gva == Some(unmapped)
             && v.detail.contains("unbacked")),
         "planted unbacked entry not caught: {found:?}"
@@ -191,7 +191,7 @@ fn audit_catches_planted_stale_entries() {
     );
     let found = m.audit();
     assert!(
-        found.iter().any(|v| v.site == ViolationSite::StaleTlb
+        found.iter().any(|v| v.code == FindingCode::StaleTlb
             && v.gva == Some(mapped)
             && v.detail.contains("reference frame")),
         "planted wrong-frame entry not caught: {found:?}"
@@ -220,7 +220,7 @@ fn tlb_hit_oracle_catches_planted_entry_on_access() {
     assert!(
         violations
             .iter()
-            .any(|v| v.site == ViolationSite::TlbHit && v.gva == Some(va)),
+            .any(|v| v.code == FindingCode::TlbHit && v.gva == Some(va)),
         "hit on planted entry not caught: {violations:?}"
     );
 }
