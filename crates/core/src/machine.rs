@@ -572,11 +572,7 @@ impl Machine {
         for r in &batch.ranges {
             self.pwc.invalidate_range(r.asid, r.start, r.len);
             if r.tlb_sweep {
-                let mut va = r.start;
-                while va < r.start + r.len {
-                    self.tlb.invalidate_page(r.asid, GuestVirtAddr::new(va));
-                    va += 0x1000;
-                }
+                self.tlb.invalidate_range(r.asid, r.start, r.len);
             }
         }
         let vm = self.vmm.vm();

@@ -33,7 +33,7 @@ pub struct FlushApplyStats {
     pub asid_flushes: u64,
     /// Ranged PWC invalidations applied (after merging).
     pub range_ops: u64,
-    /// Per-page TLB invalidations issued by range sweeps.
+    /// 4 KiB pages covered by ranged TLB invalidations.
     pub pages_swept: u64,
     /// Range requests eliminated: subsumed by a full ASID flush in the
     /// same batch.

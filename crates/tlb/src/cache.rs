@@ -171,6 +171,32 @@ impl<K: Eq + Clone, V: Clone> SetAssocCache<K, V> {
         Some(set.swap_remove(pos).value)
     }
 
+    /// Removes every key of set `set_index` that `pred` matches, returning
+    /// how many were removed. Keys leave in ascending order, one
+    /// `swap_remove` each, so the set's slot order ends exactly as a loop
+    /// of [`SetAssocCache::invalidate`] over those keys in ascending order
+    /// would leave it (slot order is state: see
+    /// [`SetAssocCache::save_state`]).
+    pub fn invalidate_in_set(&mut self, set_index: usize, mut pred: impl FnMut(&K) -> bool) -> usize
+    where
+        K: Ord,
+    {
+        let sets = self.sets.len();
+        let set = &mut self.sets[set_index % sets];
+        let mut removed = 0;
+        while let Some(pos) = set
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| pred(&s.key))
+            .min_by(|(_, a), (_, b)| a.key.cmp(&b.key))
+            .map(|(i, _)| i)
+        {
+            set.swap_remove(pos);
+            removed += 1;
+        }
+        removed
+    }
+
     /// Removes every entry matching the predicate, returning how many were
     /// removed.
     pub fn invalidate_if(&mut self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
@@ -359,6 +385,26 @@ mod tests {
         let removed = c.invalidate_if(|_, v| *v >= 20);
         assert_eq!(removed, 2);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn invalidate_in_set_matches_ascending_single_removals() {
+        let fill = || {
+            let mut c = SetAssocCache::new(2, 4);
+            for k in [7u32, 3, 9, 5] {
+                c.insert(0, k, ());
+            }
+            c.insert(1, 3u32, ());
+            c
+        };
+        let mut by_set = fill();
+        assert_eq!(by_set.invalidate_in_set(0, |k| *k < 9 && *k != 5), 2);
+        let mut by_key = fill();
+        by_key.invalidate(0, &3);
+        by_key.invalidate(0, &7);
+        let keys = |c: &SetAssocCache<u32, ()>| c.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        assert_eq!(keys(&by_set), keys(&by_key));
+        assert_eq!(keys(&by_set), [9, 5, 3], "set 1 is untouched");
     }
 
     #[test]

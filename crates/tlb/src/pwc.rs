@@ -139,8 +139,12 @@ impl PageWalkCaches {
     /// `[start, start+len)` — the targeted shootdown the VMM issues when it
     /// restructures one subtree (agile mode switches, shadow zaps) without
     /// disturbing the rest of the address space's cached partial walks.
+    /// An empty range is a no-op.
     pub fn invalidate_range(&mut self, asid: Asid, start: u64, len: u64) {
-        let end = start + len.saturating_sub(1);
+        if len == 0 {
+            return;
+        }
+        let end = start + (len - 1);
         let bounds = |shift: u32| (start >> shift, end >> shift);
         let (lo1, hi1) = bounds(Level::L4.index_shift());
         self.skip1
@@ -336,6 +340,20 @@ mod tests {
         pwc.fill(asid, va, Level::L2, entry(3, PwcTableKind::Shadow));
         pwc.invalidate_va(asid, va);
         assert!(pwc.lookup(asid, va).is_none());
+    }
+
+    #[test]
+    fn empty_range_invalidates_nothing() {
+        let mut pwc = caches();
+        let asid = Asid::new(1);
+        let va = GuestVirtAddr::new(0x7f00_1234_5000);
+        pwc.fill(asid, va, Level::L4, entry(1, PwcTableKind::Shadow));
+        pwc.fill(asid, va, Level::L3, entry(2, PwcTableKind::Shadow));
+        pwc.fill(asid, va, Level::L2, entry(3, PwcTableKind::Shadow));
+        pwc.invalidate_range(asid, va.raw(), 0);
+        assert_eq!(pwc.entries().len(), 3);
+        pwc.invalidate_range(asid, va.raw(), 1);
+        assert!(pwc.entries().is_empty());
     }
 
     #[test]

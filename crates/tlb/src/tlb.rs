@@ -151,6 +151,25 @@ impl SizedTlb {
         }
     }
 
+    /// Drops `asid`'s entries for every page of this size from the one
+    /// holding `first` to the one holding `last`, visiting only the
+    /// `min(span, sets)` sets that span maps to.
+    fn invalidate_range(&mut self, asid: Asid, first: GuestVirtAddr, last: GuestVirtAddr) -> usize {
+        let Some(c) = self.cache.as_mut() else {
+            return 0;
+        };
+        let (lo, hi) = (first.page_number(self.size), last.page_number(self.size));
+        let sets = c.set_count() as u64;
+        let visits = (hi - lo + 1).min(sets);
+        (lo..lo + visits)
+            .map(|vpn| {
+                c.invalidate_in_set((vpn % sets) as usize, |&(a, v)| {
+                    a == asid && (lo..=hi).contains(&v)
+                })
+            })
+            .sum()
+    }
+
     fn invalidate_asid(&mut self, asid: Asid) -> usize {
         match self.cache.as_mut() {
             Some(c) => c.invalidate_if(|(a, _), _| *a == asid),
@@ -293,6 +312,30 @@ impl TlbHierarchy {
             .chain(self.l2.iter_mut())
         {
             n += t.invalidate_page(asid, va);
+        }
+        self.stats.invalidations += n as u64;
+    }
+
+    /// Invalidates `[start, start + len)` in every structure: the state
+    /// and counters [`TlbHierarchy::invalidate_page`] at `start`,
+    /// `start + 4 KiB`, … below `start + len` would leave, with each
+    /// structure visiting only the sets the span maps to. An empty range
+    /// is a no-op.
+    pub fn invalidate_range(&mut self, asid: Asid, start: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let step = PageSize::Size4K.bytes();
+        let first = GuestVirtAddr::new(start);
+        let last = GuestVirtAddr::new(start + (len - 1) / step * step);
+        let mut n = 0;
+        for t in self
+            .l1d
+            .iter_mut()
+            .chain(self.l1i.iter_mut())
+            .chain(self.l2.iter_mut())
+        {
+            n += t.invalidate_range(asid, first, last);
         }
         self.stats.invalidations += n as u64;
     }

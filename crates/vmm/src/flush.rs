@@ -25,16 +25,22 @@
 //!    of the same ASID, so a cached span intersects the merged interval
 //!    iff it intersects a constituent.
 //! 3. The per-request TLB escalation rule (a range longer than
-//!    [`TLB_RANGE_SWEEP_CAP`] flushes the whole ASID instead of sweeping
-//!    page-by-page) is decided on *original* request lengths, never on
-//!    merged lengths, so merging can never escalate — or de-escalate — a
-//!    flush the sequential path would have treated differently.
+//!    [`TLB_RANGE_SWEEP_CAP`] flushes the whole ASID instead of taking a
+//!    ranged TLB invalidation) is decided on *original* request lengths,
+//!    never on merged lengths, so merging can never escalate — or
+//!    de-escalate — a flush the sequential path would have treated
+//!    differently.
+//!
+//! A ranged TLB invalidation (`TlbHierarchy::invalidate_range`) visits
+//! each TLB structure once, and in it only the sets the range maps to. It
+//! leaves the state and counts a 4 KiB `invlpg` at every page of the
+//! range would leave, down to slot order within a set.
 
 use crate::FlushRequest;
 use agile_types::{Asid, GuestFrame};
 
 /// Ranges longer than this are applied to the TLB as a full ASID flush
-/// rather than a page-by-page sweep (the PWC side is always ranged).
+/// rather than a ranged invalidation (the PWC side is always ranged).
 pub const TLB_RANGE_SWEEP_CAP: u64 = 2 << 20;
 
 /// One merged VA range plus how its TLB side is applied.
@@ -46,7 +52,7 @@ pub struct CoalescedRange {
     pub start: u64,
     /// Range length in bytes.
     pub len: u64,
-    /// Sweep the TLB page-by-page over this range. `false` when the ASID
+    /// Invalidate this range in the TLB too. `false` when the ASID
     /// is already fully flushed (by an `Asid` request or an escalated
     /// range in the same batch), in which case only the PWC ranged
     /// invalidation remains to be done.
@@ -78,8 +84,8 @@ pub struct CoalesceStats {
 /// 1. [`FlushBatch::asid_flushes`] — full TLB + PWC flush per ASID.
 /// 2. [`FlushBatch::tlb_escalations`] — full TLB flush per ASID (PWC
 ///    stays ranged for these ASIDs' ranges).
-/// 3. [`FlushBatch::ranges`] — PWC ranged invalidation each; TLB
-///    page-by-page sweep where [`CoalescedRange::tlb_sweep`] is set.
+/// 3. [`FlushBatch::ranges`] — PWC ranged invalidation each; TLB ranged
+///    invalidation too where [`CoalescedRange::tlb_sweep`] is set.
 /// 4. [`FlushBatch::ntlb_frames`] — one nested-TLB invalidation each.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlushBatch {
