@@ -4,7 +4,10 @@
 //!
 //! 1. **Round trip** — every technique's machine snapshot encodes to
 //!    byte-stable bytes, decodes back equal, and a restored machine
-//!    re-snapshots to the identical bytes.
+//!    re-snapshots to the identical bytes: once for a plain machine, and
+//!    once for one with a drop/defer chaos plan and the shootdown log
+//!    armed, whose digest pins the protocol-log and degradation-log
+//!    encoding across processes.
 //! 2. **Kill/resume** — a service job checkpointed, its worker killed
 //!    mid-run by seeded chaos, and resumed on another worker produces
 //!    artifacts byte-identical to the same requests run uninterrupted,
@@ -55,6 +58,22 @@ fn spec(label: &str, seed: u64) -> WorkloadSpec {
     }
 }
 
+/// Asserts that `snap` decodes back equal and re-encodes to the same
+/// bytes, and that `restored` (a machine restored from it) re-snapshots
+/// to those bytes; returns them.
+fn assert_round_trip(label: &str, snap: &MachineSnapshot, restored: &Machine) -> Vec<u8> {
+    let bytes = snap.to_bytes();
+    let decoded = MachineSnapshot::from_bytes(&bytes).expect("snapshot decodes");
+    assert_eq!(&decoded, snap, "{label}: decode != original");
+    assert_eq!(decoded.to_bytes(), bytes, "{label}: re-encode drifted");
+    assert_eq!(
+        restored.snapshot().to_bytes(),
+        bytes,
+        "{label}: restored machine re-snapshots differently"
+    );
+    bytes
+}
+
 fn round_trip_phase() {
     println!("# phase 1: snapshot round trip, {ACCESSES} accesses");
     for t in all_techniques() {
@@ -62,25 +81,34 @@ fn round_trip_phase() {
         let mut machine = Machine::new(cfg);
         machine.run_spec(&spec(t.label(), 11));
         let snap = machine.snapshot();
-        let bytes = snap.to_bytes();
-        let decoded = MachineSnapshot::from_bytes(&bytes).expect("snapshot decodes");
-        assert_eq!(decoded, snap, "{}: decode != original", t.label());
-        assert_eq!(
-            decoded.to_bytes(),
-            bytes,
-            "{}: re-encode drifted",
-            t.label()
-        );
         let restored = Machine::restore(cfg, &snap).expect("snapshot restores");
-        assert_eq!(
-            restored.snapshot().to_bytes(),
-            bytes,
-            "{}: restored machine re-snapshots differently",
-            t.label()
-        );
+        let bytes = assert_round_trip(t.label(), &snap, &restored);
         println!(
             "technique={} snapshot_bytes={} digest={:#018x}",
             t.label(),
+            bytes.len(),
+            digest(&bytes)
+        );
+    }
+    // Chaos implies the shootdown log, so these digests cover the
+    // protocol log's bytes (event order included) and the degradation log.
+    let plan = FaultPlan::new(0x5A)
+        .drop_shootdowns(50)
+        .defer_shootdowns(50, 8);
+    for t in all_techniques() {
+        let cfg = SystemConfig::new(t);
+        let mut machine = Machine::new(cfg);
+        machine.enable_chaos(plan.clone());
+        machine.run_spec(&spec(t.label(), 12));
+        let snap = machine.snapshot();
+        let mut restored = Machine::new(cfg);
+        restored.enable_chaos(plan.clone());
+        restored.restore_from(&snap).expect("snapshot restores");
+        let bytes = assert_round_trip(t.label(), &snap, &restored);
+        println!(
+            "technique={} armed=chaos+shootdown-log log_events={} snapshot_bytes={} digest={:#018x}",
+            t.label(),
+            machine.shootdown_log().map_or(0, |log| log.len()),
             bytes.len(),
             digest(&bytes)
         );

@@ -871,7 +871,9 @@ impl FlushScope {
 /// operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShootdownEvent {
-    /// The VMM emitted a flush request (canonical drain order).
+    /// The VMM emitted a flush request. A drain logs every request of its
+    /// batch, in canonical order, before settling (applying, dropping or
+    /// deferring) any of them.
     Requested {
         /// Access index.
         access: u64,

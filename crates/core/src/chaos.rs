@@ -391,40 +391,32 @@ pub(crate) enum ShootdownFate {
     Defer(u64),
 }
 
-/// Live injection state owned by the machine: the plan, the dice, the
-/// deferred-shootdown queue, and the event log.
+/// A degradation-event log capped at [`MAX_EVENTS`] entries. Events get
+/// consecutive sequence numbers; the first event past the cap is replaced
+/// by one [`DegradationKind::LogTruncated`] marker and later ones are
+/// dropped, so a capped log is still deterministic and comparable. The
+/// machine's chaos state and the multi-VM host each keep one.
 #[derive(Debug)]
-pub(crate) struct ChaosState {
-    pub(crate) plan: FaultPlan,
-    rng: SplitMix64,
-    pub(crate) deferred: Vec<(u64, FlushRequest)>,
+pub(crate) struct EventLog {
+    /// Names the log in its truncation marker ("`{name}` capped at …").
+    name: &'static str,
     events: Vec<DegradationEvent>,
     truncated: bool,
-    pub(crate) next_scenario: usize,
-    pub(crate) heals_this_access: u32,
-    pub(crate) oom_failures: u32,
     next_seq: u64,
 }
 
-impl ChaosState {
-    pub(crate) fn new(mut plan: FaultPlan) -> Self {
-        // Stable sort: scenarios at the same access fire in plan order.
-        plan.scenarios.sort_by_key(|s| s.at_access);
-        let rng = SplitMix64::new(plan.seed);
-        ChaosState {
-            plan,
-            rng,
-            deferred: Vec::new(),
+impl EventLog {
+    pub(crate) fn new(name: &'static str) -> Self {
+        EventLog {
+            name,
             events: Vec::new(),
             truncated: false,
-            next_scenario: 0,
-            heals_this_access: 0,
-            oom_failures: 0,
             next_seq: 0,
         }
     }
 
-    /// Appends a typed event (capped at [`MAX_EVENTS`]).
+    /// Appends a typed event, or the one-time truncation marker once the
+    /// log is full.
     pub(crate) fn record(
         &mut self,
         access: u64,
@@ -432,21 +424,18 @@ impl ChaosState {
         gva: Option<u64>,
         detail: String,
     ) {
-        if self.events.len() >= MAX_EVENTS {
-            if !self.truncated {
-                self.truncated = true;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.events.push(DegradationEvent {
-                    seq,
-                    access,
-                    kind: DegradationKind::LogTruncated,
-                    gva: None,
-                    detail: format!("event log capped at {MAX_EVENTS} entries"),
-                });
-            }
+        let (kind, gva, detail) = if self.events.len() < MAX_EVENTS {
+            (kind, gva, detail)
+        } else if !self.truncated {
+            self.truncated = true;
+            (
+                DegradationKind::LogTruncated,
+                None,
+                format!("{} capped at {MAX_EVENTS} entries", self.name),
+            )
+        } else {
             return;
-        }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(DegradationEvent {
@@ -462,9 +451,41 @@ impl ChaosState {
         &self.events
     }
 
-    pub(crate) fn take_events(&mut self) -> Vec<DegradationEvent> {
+    /// Drains the log; sequence numbers keep counting, and the cap applies
+    /// afresh to the emptied log.
+    pub(crate) fn take(&mut self) -> Vec<DegradationEvent> {
         self.truncated = false;
         std::mem::take(&mut self.events)
+    }
+}
+
+/// Live injection state owned by the machine: the plan, the dice, the
+/// deferred-shootdown queue, and the event log.
+#[derive(Debug)]
+pub(crate) struct ChaosState {
+    pub(crate) plan: FaultPlan,
+    rng: SplitMix64,
+    pub(crate) deferred: Vec<(u64, FlushRequest)>,
+    pub(crate) log: EventLog,
+    pub(crate) next_scenario: usize,
+    pub(crate) heals_this_access: u32,
+    pub(crate) oom_failures: u32,
+}
+
+impl ChaosState {
+    pub(crate) fn new(mut plan: FaultPlan) -> Self {
+        // Stable sort: scenarios at the same access fire in plan order.
+        plan.scenarios.sort_by_key(|s| s.at_access);
+        let rng = SplitMix64::new(plan.seed);
+        ChaosState {
+            plan,
+            rng,
+            deferred: Vec::new(),
+            log: EventLog::new("event log"),
+            next_scenario: 0,
+            heals_this_access: 0,
+            oom_failures: 0,
+        }
     }
 
     /// Rolls the background dice for one shootdown request. The roll is
@@ -486,16 +507,18 @@ impl ChaosState {
         }
     }
 
-    /// Rolls the cross-VM dice for one host-initiated shootdown: `true`
-    /// means the shootdown is lost. As with [`ChaosState::roll_shootdown`],
-    /// the roll is consumed only when the rate is nonzero, so single-VM
-    /// plans keep a pristine dice stream.
-    pub(crate) fn roll_cross_vm(&mut self) -> bool {
+    /// Rolls the cross-VM dice for one host-initiated shootdown, which is
+    /// either delivered or lost ([`ShootdownFate::Drop`]), never deferred.
+    /// As with [`ChaosState::roll_shootdown`], the roll is consumed only
+    /// when the rate is nonzero, so single-VM plans keep a pristine dice
+    /// stream.
+    pub(crate) fn roll_cross_vm(&mut self) -> ShootdownFate {
         let drop_pm = u64::from(self.plan.cross_vm_drop_pm);
-        if drop_pm == 0 {
-            return false;
+        if drop_pm != 0 && self.rng.below(1000) < drop_pm {
+            ShootdownFate::Drop
+        } else {
+            ShootdownFate::Deliver
         }
-        self.rng.below(1000) < drop_pm
     }
 
     /// Serializes the live injection state: dice stream position, deferred
@@ -504,12 +527,12 @@ impl ChaosState {
     pub(crate) fn save_state(&self, e: &mut Enc) {
         e.u64(self.rng.state());
         self.deferred.save(e);
-        self.events.save(e);
-        e.bool(self.truncated);
+        self.log.events.save(e);
+        e.bool(self.log.truncated);
         e.u64(self.next_scenario as u64);
         e.u32(self.heals_this_access);
         e.u32(self.oom_failures);
-        e.u64(self.next_seq);
+        e.u64(self.log.next_seq);
     }
 
     /// Restores state saved by [`ChaosState::save_state`] into this state,
@@ -517,8 +540,8 @@ impl ChaosState {
     pub(crate) fn load_state(&mut self, d: &mut Dec) -> Result<(), CodecError> {
         self.rng = SplitMix64::from_state(d.u64()?);
         self.deferred = Vec::load(d)?;
-        self.events = Vec::load(d)?;
-        self.truncated = d.bool()?;
+        self.log.events = Vec::load(d)?;
+        self.log.truncated = d.bool()?;
         let next_scenario = d.u64()? as usize;
         if next_scenario > self.plan.scenarios.len() {
             return d.fail(format!(
@@ -529,7 +552,7 @@ impl ChaosState {
         self.next_scenario = next_scenario;
         self.heals_this_access = d.u32()?;
         self.oom_failures = d.u32()?;
-        self.next_seq = d.u64()?;
+        self.log.next_seq = d.u64()?;
         Ok(())
     }
 
@@ -595,33 +618,35 @@ mod tests {
 
     #[test]
     fn event_log_renders_deterministically_and_caps() {
-        let mut st = ChaosState::new(FaultPlan::new(0));
-        st.record(
+        let mut log = EventLog::new("host event log");
+        log.record(
             10,
             DegradationKind::DroppedShootdown,
             Some(0x4000),
             "dropped Asid(1)".into(),
         );
-        st.record(
+        log.record(
             11,
             DegradationKind::HealedTranslation,
             None,
             "rebuilt".into(),
         );
-        let log = render_log(st.events());
         assert_eq!(
-            log,
+            render_log(log.events()),
             "#0000 @10 [dropped-shootdown] gva=0x4000: dropped Asid(1)\n\
              #0001 @11 [healed-translation]: rebuilt\n"
         );
         for i in 0..(MAX_EVENTS as u64 + 50) {
-            st.record(i, DegradationKind::OomReclaim, None, "x".into());
+            log.record(i, DegradationKind::OomReclaim, None, "x".into());
         }
-        assert_eq!(st.events().len(), MAX_EVENTS + 1);
+        assert_eq!(log.events().len(), MAX_EVENTS + 1);
+        let last = log.events().last().expect("marker");
+        assert_eq!(last.kind, DegradationKind::LogTruncated);
         assert_eq!(
-            st.events().last().map(|e| e.kind),
-            Some(DegradationKind::LogTruncated)
+            last.detail,
+            format!("host event log capped at {MAX_EVENTS} entries")
         );
+        assert_eq!(last.seq, MAX_EVENTS as u64);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! - **Flush delivery order** — shootdown IPIs race each other, so the
 //!   order in which one drained batch's requests land is scheduler-owned
 //!   (`Vmm::take_pending_flushes` sorts canonically; alternative 0 is
-//!   that order, the production schedule).
+//!   that order, the production schedule). The machine has one drain
+//!   path, scheduled or not: it logs the batch's `Requested` events
+//!   first, then settles the requests in the picked order.
 //! - **Deferred-shootdown timing** — a chaos-deferred IPI that has come
 //!   due may slip additional accesses before landing.
 //! - **Technique-switch timing** — the agile interval policy may run at
@@ -76,7 +78,11 @@ pub enum ChoicePoint {
 ///
 /// `choose` must return a value in `0..alternatives`; the machine clamps
 /// out-of-range answers. A scheduler that always returns 0 reproduces
-/// the production runtime's single schedule exactly.
+/// the production runtime's single schedule exactly: the same simulated
+/// state, degradation events and shootdown-log bytes, because scheduled
+/// and unscheduled drains run the one delivery path and answer 0 keeps
+/// its canonical order. Only IPI-carried drains consult the scheduler;
+/// reliable and cross-VM drains have no delivery-order choice point.
 pub trait Scheduler: std::fmt::Debug + Send {
     /// Picks one of `alternatives` behaviors at `point`.
     fn choose(&mut self, point: ChoicePoint, alternatives: u32) -> u32;

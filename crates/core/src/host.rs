@@ -48,7 +48,7 @@ use crate::analyze::{
     check_host_frames, detect_host_shootdown_races, LintReport, ShootdownLog, VmFrameView,
     VmShootdownView,
 };
-use crate::chaos::{render_log, DegradationEvent, DegradationKind, FaultPlan, MAX_EVENTS};
+use crate::chaos::{render_log, DegradationEvent, DegradationKind, EventLog, FaultPlan};
 use crate::config::SystemConfig;
 use crate::finding::{Finding, FindingCode};
 use crate::machine::{AccessError, Machine};
@@ -179,9 +179,7 @@ pub struct Host {
     cfg: HostConfig,
     pool: FramePool,
     vms: Vec<VmSlot>,
-    events: Vec<DegradationEvent>,
-    next_seq: u64,
-    truncated: bool,
+    events: EventLog,
     /// Total events dispatched across all VMs — the host's clock, used as
     /// the `access` stamp of host-level events.
     steps: u64,
@@ -200,9 +198,7 @@ impl Host {
             cfg,
             pool: FramePool::new(cfg.pool_frames),
             vms: Vec::new(),
-            events: Vec::new(),
-            next_seq: 0,
-            truncated: false,
+            events: EventLog::new("host event log"),
             steps: 0,
             balloon_pin: None,
         }
@@ -318,30 +314,7 @@ impl Host {
     }
 
     fn record_host(&mut self, kind: DegradationKind, detail: String) {
-        if self.events.len() >= MAX_EVENTS {
-            if !self.truncated {
-                self.truncated = true;
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.events.push(DegradationEvent {
-                    seq,
-                    access: self.steps,
-                    kind: DegradationKind::LogTruncated,
-                    gva: None,
-                    detail: format!("host event log capped at {MAX_EVENTS} entries"),
-                });
-            }
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(DegradationEvent {
-            seq,
-            access: self.steps,
-            kind,
-            gva: None,
-            detail,
-        });
+        self.events.record(self.steps, kind, None, detail);
     }
 
     /// Runs every VM's workload to completion, round-robin in VM-id order
@@ -879,7 +852,7 @@ impl Host {
     /// Host-level degradation events recorded so far.
     #[must_use]
     pub fn host_events(&self) -> &[DegradationEvent] {
-        &self.events
+        self.events.events()
     }
 
     /// Oracle violations accumulated across every VM (0 is the chaos
@@ -898,7 +871,7 @@ impl Host {
     #[must_use]
     pub fn render_full_log(&self) -> String {
         let mut out = String::from("== host ==\n");
-        out.push_str(&render_log(&self.events));
+        out.push_str(&render_log(self.events.events()));
         for (i, slot) in self.vms.iter().enumerate() {
             out.push_str(&format!("== vm {i} ==\n"));
             match &slot.machine {
@@ -1104,13 +1077,13 @@ mod tests {
         // an in-span free under an applied flush would be clean, so any
         // diagnostic below is the cross-VM ownership check firing.
         let foreign = agile_mem::VM_FRAME_SPAN + 9;
-        host.machine_mut(VmId::new(0))
-            .expect("live")
-            .chaos_log_shootdown(crate::analyze::ShootdownEvent::FrameFreed {
+        host.machine_mut(VmId::new(0)).expect("live").log_shootdown(
+            crate::analyze::ShootdownEvent::FrameFreed {
                 access: 1,
                 batch: u64::MAX,
                 frame: agile_types::HostFrame::new(foreign),
-            });
+            },
+        );
         let report = host.lint();
         let alias = report
             .diags

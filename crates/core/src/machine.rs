@@ -87,7 +87,9 @@ pub struct Machine {
     /// delivery order, deferred-shootdown timing, agile switch timing —
     /// consult it instead of taking the single built-in schedule. `None`
     /// (production) is byte-identical to a scheduler that always picks
-    /// alternative 0. Control-plane state: excluded from snapshots.
+    /// alternative 0, shootdown log included: both take the one path of
+    /// [`Machine::drain_flushes`]. Control-plane state: excluded from
+    /// snapshots.
     scheduler: Option<Box<dyn crate::explore::Scheduler>>,
 }
 
@@ -102,6 +104,19 @@ const OOM_WATERMARK: u64 = 16;
 /// an unbounded log of a systematically broken structure would swamp
 /// memory.
 const MAX_VIOLATIONS: usize = 64;
+
+/// How one drain's shootdowns travel, which picks the chaos dice its
+/// scoped requests face in [`Machine::drain_flushes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// Guest/VMM IPIs: the drop/defer dice; a scheduler owns their order.
+    Ipi,
+    /// Heal-path and host-maintenance flushes: no dice, always delivered.
+    Reliable,
+    /// Host-initiated cross-VM operations (balloon reclaim, migration
+    /// teardown, pressure demotion): the loss dice; never deferred.
+    CrossVm,
+}
 
 /// Snapshot taken at the start of the measurement window (everything before
 /// it — warm-up — is excluded from reported statistics, the standard
@@ -286,43 +301,38 @@ impl Machine {
         out
     }
 
-    fn log_shootdown(&mut self, event: ShootdownEvent) {
+    /// Appends one event to the shootdown protocol log (no-op when logging
+    /// is disabled). Host-scope lint fixtures also call it to plant
+    /// cross-VM frame traffic no honest machine would record.
+    pub(crate) fn log_shootdown(&mut self, event: ShootdownEvent) {
         if let Some(log) = self.shootdown_log.as_mut() {
             log.push(event);
         }
     }
 
-    /// Records a flush applied outside the request queue (heal paths flush
-    /// the caching structures directly) so the race detector sees the
-    /// window close.
-    fn log_applied_asid(&mut self, asid: Asid) {
-        if self.shootdown_log.is_some() {
-            let access = self.hot.accesses;
-            self.log_shootdown(ShootdownEvent::Applied {
-                access,
-                scope: FlushScope::asid_full(asid.raw()),
-            });
-        }
-    }
-
-    fn next_flush_batch(&mut self) -> u64 {
-        self.flush_batches += 1;
-        self.flush_batches
+    /// Records the `Applied` protocol event of one flush scope. Queued
+    /// requests are applied batched in [`Machine::apply_flush_batch`], but
+    /// the log keeps one event per request, so the race detector's
+    /// happens-before replay (and the log bytes) are independent of
+    /// coalescing. Heal paths that flush the caching structures directly
+    /// log here too, so the race detector sees the window close.
+    fn log_applied(&mut self, scope: FlushScope) {
+        let access = self.hot.accesses;
+        self.log_shootdown(ShootdownEvent::Applied { access, scope });
     }
 
     /// Logs the table-page frees performed by the VMM operation whose
     /// flush requests were drained as `batch`.
     fn log_freed_frames(&mut self, batch: u64) {
-        if self.shootdown_log.is_none() {
-            return;
-        }
-        let access = self.hot.accesses;
-        for frame in self.mem.take_freed_frames() {
-            self.log_shootdown(ShootdownEvent::FrameFreed {
-                access,
-                batch,
-                frame,
-            });
+        if let Some(log) = self.shootdown_log.as_mut() {
+            let access = self.hot.accesses;
+            for frame in self.mem.take_freed_frames() {
+                log.push(ShootdownEvent::FrameFreed {
+                    access,
+                    batch,
+                    frame,
+                });
+            }
         }
     }
 
@@ -351,14 +361,12 @@ impl Machine {
     /// Degradation events recorded so far (empty without chaos).
     #[must_use]
     pub fn degradation_events(&self) -> &[DegradationEvent] {
-        self.chaos.as_ref().map_or(&[], |c| c.events())
+        self.chaos.as_ref().map_or(&[], |c| c.log.events())
     }
 
     /// Drains the recorded degradation events.
     pub fn take_degradation_events(&mut self) -> Vec<DegradationEvent> {
-        self.chaos
-            .as_mut()
-            .map_or_else(Vec::new, |c| c.take_events())
+        self.chaos.as_mut().map_or_else(Vec::new, |c| c.log.take())
     }
 
     /// Records oracle findings found outside the machine's own checks
@@ -447,10 +455,6 @@ impl Machine {
     /// The configuration this machine runs.
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
-        self.cfg_ref()
-    }
-
-    fn cfg_ref(&self) -> &SystemConfig {
         &self.cfg
     }
 
@@ -465,15 +469,6 @@ impl Machine {
     /// bounded explorer's teeth can be proven against it.
     pub fn chaos_suppress_leaf_flush(&mut self, on: bool) {
         self.vmm.chaos_suppress_leaf_flush(on);
-    }
-
-    /// Test-only: appends a raw event to the shootdown protocol log (no-op
-    /// when logging is disabled). Host-scope lint fixtures use it to plant
-    /// cross-VM frame traffic no honest machine would record.
-    pub fn chaos_log_shootdown(&mut self, event: ShootdownEvent) {
-        if let Some(log) = self.shootdown_log.as_mut() {
-            log.push(event);
-        }
     }
 
     /// The simulated physical memory (read-only; the static analyzer and
@@ -535,19 +530,6 @@ impl Machine {
         self.procs[index]
     }
 
-    /// Records the per-request `Applied` protocol event. Application
-    /// itself happens batched in [`Machine::apply_flush_batch`]; the log
-    /// keeps one event per request so the race detector's happens-before
-    /// replay (and the log bytes) are independent of coalescing.
-    fn log_applied(&mut self, req: &FlushRequest) {
-        if self.shootdown_log.is_some() {
-            if let Some(scope) = FlushScope::of_request(req) {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Applied { access, scope });
-            }
-        }
-    }
-
     /// Applies one delivered batch of shootdowns, coalesced to at most
     /// one operation per structure per scope (see [`agile_vmm::coalesce`]
     /// for the equivalence contract: identical final cache state and
@@ -581,141 +563,112 @@ impl Machine {
         }
     }
 
-    /// Delivers pending VMM shootdowns — through the chaos dice when fault
-    /// injection is armed. `Asid` and `Range` requests (the IPI-carried
-    /// gVA-space shootdowns real systems genuinely lose or delay) can be
-    /// dropped or deferred; `NtlbFrame` requests model the hypervisor's
-    /// *synchronous* local INVEPT on its own EPT edit and always deliver.
-    fn drain_flushes(&mut self) {
-        if self.scheduler.is_some() {
-            return self.drain_flushes_scheduled();
-        }
-        let batch = self.next_flush_batch();
+    /// Delivers the VMM's pending shootdowns — the one path every drain
+    /// takes, whatever `via` carries it:
+    ///
+    /// 1. Every scoped (`Asid`/`Range`) request's `Requested` event is
+    ///    logged first, in the canonical order of
+    ///    [`Vmm::take_pending_flushes`].
+    /// 2. `NtlbFrame` requests model the hypervisor's *synchronous* local
+    ///    INVEPT on its own EPT edit: no IPI, no dice, no log event; they
+    ///    are always delivered.
+    /// 3. The scoped requests are settled in canonical order — or, for an
+    ///    [`Via::Ipi`] drain under an installed scheduler, in the order
+    ///    its [`crate::explore::ChoicePoint::FlushPick`]s choose. Each one
+    ///    is delivered (`Applied`), dropped, or deferred by `via`'s dice.
+    /// 4. The delivered batch is applied, then the table-page frees of
+    ///    the same VMM operation are logged.
+    ///
+    /// A scheduler that always answers 0 picks the canonical order, so it
+    /// reproduces the unscheduled drain byte for byte.
+    fn drain_flushes(&mut self, via: Via) {
+        self.flush_batches += 1;
+        let batch = self.flush_batches;
         let mut delivered: Vec<FlushRequest> = Vec::new();
+        let mut scoped: Vec<(FlushScope, FlushRequest)> = Vec::new();
         for req in self.vmm.take_pending_flushes() {
-            if let Some(scope) = FlushScope::of_request(&req) {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Requested {
+            match FlushScope::of_request(&req) {
+                Some(scope) => scoped.push((scope, req)),
+                None => delivered.push(req),
+            }
+        }
+        if let Some(log) = self.shootdown_log.as_mut() {
+            let access = self.hot.accesses;
+            for &(scope, _) in &scoped {
+                log.push(ShootdownEvent::Requested {
                     access,
                     batch,
                     scope,
                 });
             }
-            self.roll_and_deliver(req, batch, &mut delivered);
+        }
+        if via == Via::Ipi && self.scheduler.is_some() {
+            scoped = self.scheduled_flush_order(batch, scoped);
+        }
+        for (scope, req) in scoped {
+            let (access, gva) = (self.hot.accesses, flush_gva(&req));
+            let fate = match (via, self.chaos.as_mut()) {
+                (Via::Ipi, Some(c)) => c.roll_shootdown(),
+                (Via::CrossVm, Some(c)) => c.roll_cross_vm(),
+                _ => ShootdownFate::Deliver,
+            };
+            let event = match fate {
+                ShootdownFate::Deliver => {
+                    delivered.push(req);
+                    ShootdownEvent::Applied { access, scope }
+                }
+                ShootdownFate::Drop => {
+                    let (kind, what) = match via {
+                        Via::CrossVm => (DegradationKind::CrossVmShootdownLoss, "lost cross-vm"),
+                        _ => (DegradationKind::DroppedShootdown, "dropped"),
+                    };
+                    self.record_degradation(kind, gva, format!("{what} {req:?}"));
+                    ShootdownEvent::Dropped {
+                        access,
+                        batch,
+                        scope,
+                    }
+                }
+                ShootdownFate::Defer(delay) => {
+                    let due = access + delay;
+                    let detail = format!("deferred {req:?} until access {due}");
+                    self.record_degradation(DegradationKind::DeferredShootdown, gva, detail);
+                    let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
+                    chaos.deferred.push((due, req));
+                    ShootdownEvent::Deferred {
+                        access,
+                        batch,
+                        due,
+                        scope,
+                    }
+                }
+            };
+            self.log_shootdown(event);
         }
         self.apply_flush_batch(&delivered);
         self.log_freed_frames(batch);
     }
 
-    /// Rolls the chaos shootdown dice (when armed) for one drained request
-    /// and either queues it for delivery or records its drop/deferral —
-    /// the shared fate logic of [`Machine::drain_flushes`] and its
-    /// scheduler-ordered variant.
-    fn roll_and_deliver(
+    /// The delivery order of one IPI drain's scoped requests, picked by the
+    /// installed scheduler: real shootdown IPIs race each other, so the
+    /// model checker owns their arrival order. Each pick offers only the
+    /// *distinct* flush scopes still pending, in canonical order:
+    /// delivering either of two identical-scope twins first reaches the
+    /// same successor state, so branching on the twin is pruned (the
+    /// sleep-set argument of DESIGN §5j); the suppressed permutations are
+    /// reported through [`crate::explore::ChoicePoint::FlushPick`]'s
+    /// `remaining`. Answer 0 at every pick keeps the canonical order.
+    fn scheduled_flush_order(
         &mut self,
-        req: FlushRequest,
         batch: u64,
-        delivered: &mut Vec<FlushRequest>,
-    ) {
-        let scope = FlushScope::of_request(&req);
-        let fate = match self.chaos.as_mut() {
-            Some(c) if !matches!(req, FlushRequest::NtlbFrame(_)) => c.roll_shootdown(),
-            _ => ShootdownFate::Deliver,
-        };
-        match fate {
-            ShootdownFate::Deliver => {
-                self.log_applied(&req);
-                delivered.push(req);
-            }
-            ShootdownFate::Drop => {
-                let access = self.hot.accesses;
-                let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
-                chaos.record(
-                    access,
-                    DegradationKind::DroppedShootdown,
-                    flush_gva(&req),
-                    format!("dropped {req:?}"),
-                );
-                if let Some(scope) = scope {
-                    self.log_shootdown(ShootdownEvent::Dropped {
-                        access,
-                        batch,
-                        scope,
-                    });
-                }
-            }
-            ShootdownFate::Defer(delay) => {
-                let access = self.hot.accesses;
-                let due = access + delay;
-                let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
-                chaos.record(
-                    access,
-                    DegradationKind::DeferredShootdown,
-                    flush_gva(&req),
-                    format!("deferred {req:?} until access {due}"),
-                );
-                chaos.deferred.push((due, req));
-                if let Some(scope) = scope {
-                    self.log_shootdown(ShootdownEvent::Deferred {
-                        access,
-                        batch,
-                        due,
-                        scope,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Consults the installed interleaving scheduler at one choice point.
-    /// Without a scheduler this is the constant 0 — the single built-in
-    /// schedule every production run takes.
-    fn schedule(&mut self, point: crate::explore::ChoicePoint, alternatives: u32) -> u32 {
-        debug_assert!(alternatives >= 1);
-        match self.scheduler.as_mut() {
-            Some(s) => s.choose(point, alternatives).min(alternatives - 1),
-            None => 0,
-        }
-    }
-
-    /// [`Machine::drain_flushes`] with the IPI delivery order chosen by
-    /// the installed scheduler: real shootdown IPIs race each other, so
-    /// the model checker owns their arrival order. `NtlbFrame` requests
-    /// model the hypervisor's *synchronous* local INVEPT — no IPI, no
-    /// reordering freedom — and deliver first, unconditionally. Each pick
-    /// offers only requests with *distinct* flush scopes: delivering
-    /// either of two identical-scope twins first reaches the same
-    /// successor state, so branching on the twin is pruned (the sleep-set
-    /// argument of DESIGN §5j); the suppressed permutations are reported
-    /// through [`crate::explore::ChoicePoint::FlushPick`]'s `remaining`.
-    fn drain_flushes_scheduled(&mut self) {
-        let batch = self.next_flush_batch();
-        let pending = self.vmm.take_pending_flushes();
-        for req in &pending {
-            if let Some(scope) = FlushScope::of_request(req) {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Requested {
-                    access,
-                    batch,
-                    scope,
-                });
-            }
-        }
-        let (sync, mut remaining): (Vec<FlushRequest>, Vec<FlushRequest>) = pending
-            .into_iter()
-            .partition(|r| matches!(r, FlushRequest::NtlbFrame(_)));
-        let mut delivered: Vec<FlushRequest> = Vec::new();
-        for req in sync {
-            self.roll_and_deliver(req, batch, &mut delivered);
-        }
+        mut remaining: Vec<(FlushScope, FlushRequest)>,
+    ) -> Vec<(FlushScope, FlushRequest)> {
+        let mut order = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
-            // Distinct scopes in canonical (sorted-batch) order; the
-            // chosen alternative indexes into this list.
             let mut distinct: Vec<FlushScope> = Vec::new();
-            for r in &remaining {
-                let s = FlushScope::of_request(r).expect("IPI-carried request has a scope");
-                if !distinct.contains(&s) {
-                    distinct.push(s);
+            for &(scope, _) in &remaining {
+                if !distinct.contains(&scope) {
+                    distinct.push(scope);
                 }
             }
             let choice = if remaining.len() > 1 {
@@ -732,80 +685,22 @@ impl Machine {
             let scope = distinct[choice as usize];
             let idx = remaining
                 .iter()
-                .position(|r| FlushScope::of_request(r) == Some(scope))
+                .position(|&(s, _)| s == scope)
                 .expect("chosen scope came from the remaining requests");
-            let req = remaining.remove(idx);
-            self.roll_and_deliver(req, batch, &mut delivered);
+            order.push(remaining.remove(idx));
         }
-        self.apply_flush_batch(&delivered);
-        self.log_freed_frames(batch);
+        order
     }
 
-    /// Delivers pending shootdowns without consulting the chaos dice. Heal
-    /// paths use this: a recovery-issued flush must never itself be dropped.
-    fn drain_flushes_reliable(&mut self) {
-        let batch = self.next_flush_batch();
-        let delivered = self.vmm.take_pending_flushes();
-        for req in &delivered {
-            if let Some(scope) = FlushScope::of_request(req) {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Requested {
-                    access,
-                    batch,
-                    scope,
-                });
-            }
-            self.log_applied(req);
+    /// Consults the installed interleaving scheduler at one choice point.
+    /// Without a scheduler this is the constant 0 — the single built-in
+    /// schedule every production run takes.
+    fn schedule(&mut self, point: crate::explore::ChoicePoint, alternatives: u32) -> u32 {
+        debug_assert!(alternatives >= 1);
+        match self.scheduler.as_mut() {
+            Some(s) => s.choose(point, alternatives).min(alternatives - 1),
+            None => 0,
         }
-        self.apply_flush_batch(&delivered);
-        self.log_freed_frames(batch);
-    }
-
-    /// Delivers pending shootdowns for a *host-initiated* cross-VM
-    /// operation (balloon reclaim, migration teardown, pressure demotion).
-    /// Each IPI-carried request rolls the separate cross-VM loss dice
-    /// ([`FaultPlan::cross_vm_drop_pm`]); `NtlbFrame` requests model the
-    /// hypervisor's synchronous local INVEPT and always deliver.
-    fn drain_flushes_cross_vm(&mut self) {
-        let batch = self.next_flush_batch();
-        let mut delivered: Vec<FlushRequest> = Vec::new();
-        for req in self.vmm.take_pending_flushes() {
-            let scope = FlushScope::of_request(&req);
-            if let Some(scope) = scope {
-                let access = self.hot.accesses;
-                self.log_shootdown(ShootdownEvent::Requested {
-                    access,
-                    batch,
-                    scope,
-                });
-            }
-            let lost = match self.chaos.as_mut() {
-                Some(c) if !matches!(req, FlushRequest::NtlbFrame(_)) => c.roll_cross_vm(),
-                _ => false,
-            };
-            if lost {
-                let access = self.hot.accesses;
-                let chaos = self.chaos.as_mut().expect("chaos rolled the dice");
-                chaos.record(
-                    access,
-                    DegradationKind::CrossVmShootdownLoss,
-                    flush_gva(&req),
-                    format!("lost cross-vm {req:?}"),
-                );
-                if let Some(scope) = scope {
-                    self.log_shootdown(ShootdownEvent::Dropped {
-                        access,
-                        batch,
-                        scope,
-                    });
-                }
-            } else {
-                self.log_applied(&req);
-                delivered.push(req);
-            }
-        }
-        self.apply_flush_batch(&delivered);
-        self.log_freed_frames(batch);
     }
 
     /// Applies deferred shootdowns whose delivery access has been reached.
@@ -814,14 +709,11 @@ impl Machine {
     /// the IPI is in flight and the model checker owns exactly *when* in
     /// the access stream it lands.
     fn deliver_due_shootdowns(&mut self) {
-        if self.chaos.is_none() {
-            return;
-        }
         let access = self.hot.accesses;
-        let has_due = self
-            .chaos
-            .as_ref()
-            .is_some_and(|c| c.deferred.iter().any(|(due, _)| *due <= access));
+        let Some(chaos) = self.chaos.as_ref() else {
+            return;
+        };
+        let has_due = chaos.deferred.iter().any(|(due, _)| *due <= access);
         if has_due
             && self.scheduler.is_some()
             && self.schedule(crate::explore::ChoicePoint::DeferredDelivery, 2) == 1
@@ -839,8 +731,8 @@ impl Machine {
             .as_mut()
             .expect("checked above")
             .take_due_deferred(access);
-        for req in &due {
-            self.log_applied(req);
+        for scope in due.iter().filter_map(FlushScope::of_request) {
+            self.log_applied(scope);
         }
         self.apply_flush_batch(&due);
     }
@@ -885,14 +777,14 @@ impl Machine {
     /// host-driven service work such as live migration.
     pub fn spawn_process(&mut self) -> ProcessId {
         let pid = self.os.spawn(&mut self.mem, &mut self.vmm);
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
         pid
     }
 
     /// Context-switches the guest to `pid` (which must be known).
     pub fn switch_to(&mut self, pid: ProcessId) {
         self.os.context_switch(&mut self.mem, &mut self.vmm, pid);
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
     }
 
     /// Host balloon request: escalating reclaim over *all* guest processes
@@ -908,7 +800,7 @@ impl Machine {
                 .reclaim_pressure(&mut self.mem, &mut self.vmm, pid, passes);
         }
         let ballooned = self.os.balloon_surrender();
-        self.drain_flushes_cross_vm();
+        self.drain_flushes(Via::CrossVm);
         ballooned
     }
 
@@ -924,7 +816,7 @@ impl Machine {
             }
         }
         if demoted > 0 {
-            self.drain_flushes_cross_vm();
+            self.drain_flushes(Via::CrossVm);
         }
         demoted
     }
@@ -975,7 +867,7 @@ impl Machine {
     pub fn host_munmap(&mut self, pid: ProcessId, start: u64, len: u64) {
         self.os
             .munmap(&mut self.mem, &mut self.vmm, pid, start, len);
-        self.drain_flushes_cross_vm();
+        self.drain_flushes(Via::CrossVm);
         self.tlb.flush_asid(Asid::from(pid));
     }
 
@@ -999,10 +891,14 @@ impl Machine {
         }
     }
 
-    /// Records a host-initiated degradation event (lease change, balloon
-    /// request, demotion, migration) into this VM's typed event log.
+    /// Records a degradation event into this VM's typed event log (no-op
+    /// without chaos): the machine's own injections and heals, and the
+    /// host's lease changes, balloon requests, demotions and migrations.
     pub fn record_degradation(&mut self, kind: DegradationKind, gva: Option<u64>, detail: String) {
-        self.chaos_record(kind, gva, detail);
+        let access = self.hot.accesses;
+        if let Some(c) = self.chaos.as_mut() {
+            c.log.record(access, kind, gva, detail);
+        }
     }
 
     /// Executes one data access at `va` by the current process, modeling
@@ -1124,7 +1020,7 @@ impl Machine {
                     self.handle_guest_fault(pid, va, fault, access)?;
                 }
                 Err(fault) => match self.vmm.handle_fault(&mut self.mem, pid, fault) {
-                    FaultOutcome::Fixed => self.drain_flushes(),
+                    FaultOutcome::Fixed => self.drain_flushes(Via::Ipi),
                     FaultOutcome::ReflectToGuest(f) => {
                         self.handle_guest_fault(pid, va, f, access)?;
                     }
@@ -1168,7 +1064,7 @@ impl Machine {
                 .handle_page_fault(&mut self.mem, &mut self.vmm, pid, va, access)
                 .map_err(AccessError::Seg)?;
         }
-        self.drain_flushes();
+        self.drain_flushes(Via::Ipi);
         self.tlb
             .invalidate_page(Asid::from(pid), GuestVirtAddr::new(va));
         Ok(())
@@ -1190,13 +1086,6 @@ impl Machine {
             let kind = scenario.kind.clone();
             chaos.next_scenario += 1;
             self.fire_scenario(kind);
-        }
-    }
-
-    fn chaos_record(&mut self, kind: DegradationKind, gva: Option<u64>, detail: String) {
-        let access = self.hot.accesses;
-        if let Some(c) = self.chaos.as_mut() {
-            c.record(access, kind, gva, detail);
         }
     }
 
@@ -1238,8 +1127,8 @@ impl Machine {
                         }
                     }
                 }
-                self.drain_flushes_reliable();
-                self.chaos_record(
+                self.drain_flushes(Via::Reliable);
+                self.record_degradation(
                     DegradationKind::InjectedFault,
                     Some(base),
                     format!("trap storm: {writes} write+invlpg cycles across {pages} pages"),
@@ -1254,13 +1143,13 @@ impl Machine {
                         // The corruption manifests on the next walk; evict
                         // the cached entry so the walk happens.
                         self.tlb.invalidate_page(asid, GuestVirtAddr::new(gva));
-                        self.chaos_record(
+                        self.record_degradation(
                             DegradationKind::InjectedFault,
                             Some(gva),
                             format!("flipped bit {bit} of the shadow {level:?} leaf"),
                         );
                     }
-                    None => self.chaos_record(
+                    None => self.record_degradation(
                         DegradationKind::InjectedFault,
                         Some(gva),
                         format!("shadow corruption no-op: no shadow leaf (bit {bit})"),
@@ -1285,13 +1174,13 @@ impl Machine {
                         } else {
                             format!(" (re-aimed from {gva:#x})")
                         };
-                        self.chaos_record(
+                        self.record_degradation(
                             DegradationKind::InjectedFault,
                             Some(v),
                             format!("cleared the present bit of the guest {level:?} leaf{moved}"),
                         );
                     }
-                    None => self.chaos_record(
+                    None => self.record_degradation(
                         DegradationKind::InjectedFault,
                         Some(gva),
                         "guest corruption no-op: no guest leaf near the target".to_string(),
@@ -1301,7 +1190,7 @@ impl Machine {
             ScenarioKind::FramePressure { headroom } => {
                 let budget = self.mem.frames_charged() + headroom;
                 self.mem.set_frame_budget(Some(budget));
-                self.chaos_record(
+                self.record_degradation(
                     DegradationKind::InjectedFault,
                     None,
                     format!("frame budget capped at {budget} ({headroom} frames of headroom)"),
@@ -1333,8 +1222,8 @@ impl Machine {
                 let reclaimed = self.vmm.host_share(&mut self.mem, pid, &gvas);
                 // Host-initiated maintenance: its shootdowns are IPIs the
                 // chaos dice never touch.
-                self.drain_flushes_reliable();
-                self.chaos_record(
+                self.drain_flushes(Via::Reliable);
+                self.record_degradation(
                     DegradationKind::InjectedFault,
                     None,
                     format!(
@@ -1393,10 +1282,10 @@ impl Machine {
             // budget; the guest surrenders its recycle list with them.
             let ballooned = self.os.balloon_surrender();
             self.mem.credit_frames(ballooned);
-            self.drain_flushes_reliable();
+            self.drain_flushes(Via::Reliable);
             self.tlb.flush_asid(Asid::from(pid));
             let remaining = self.mem.frames_remaining().unwrap_or(u64::MAX);
-            self.chaos_record(
+            self.record_degradation(
                 DegradationKind::OomReclaim,
                 None,
                 format!(
@@ -1418,7 +1307,7 @@ impl Machine {
         if c.oom_failures > c.plan.max_oom_failures {
             let failures = c.oom_failures;
             self.mem.set_frame_budget(None);
-            self.chaos_record(
+            self.record_degradation(
                 DegradationKind::PressureRelieved,
                 None,
                 format!("frame budget lifted after {failures} failed reclaim rounds"),
@@ -1441,7 +1330,7 @@ impl Machine {
             return false;
         }
         c.heals_this_access += 1;
-        self.chaos_record(
+        self.record_degradation(
             DegradationKind::HealedTranslation,
             Some(va),
             format!("healing: {why}"),
@@ -1451,10 +1340,10 @@ impl Machine {
         self.pwc.flush_asid(asid);
         // The direct walk-cache purge closes any open shootdown window for
         // this address space; tell the race detector.
-        self.log_applied_asid(asid);
+        self.log_applied(FlushScope::asid_full(asid.raw()));
         self.ntlb.flush_vm(self.vmm.vm());
         self.vmm.chaos_heal_shadow(&mut self.mem, pid, va);
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
         true
     }
 
@@ -1470,12 +1359,12 @@ impl Machine {
             let asid = Asid::from(pid);
             self.tlb.flush_asid(asid);
             self.pwc.flush_asid(asid);
-            self.log_applied_asid(asid);
+            self.log_applied(FlushScope::asid_full(asid.raw()));
         }
         self.ntlb.flush_vm(self.vmm.vm());
         let pid = self.current_pid();
         for v in found {
-            self.chaos_record(
+            self.record_degradation(
                 DegradationKind::HealedTranslation,
                 v.gva,
                 format!("audit heal: {v}"),
@@ -1484,7 +1373,7 @@ impl Machine {
                 self.vmm.chaos_heal_shadow(&mut self.mem, pid, gva);
             }
         }
-        self.drain_flushes_reliable();
+        self.drain_flushes(Via::Reliable);
         self.audit()
     }
 
@@ -1563,7 +1452,7 @@ impl Machine {
                     if self.vmm.handle_fault(&mut self.mem, pid, fault) != FaultOutcome::Fixed {
                         return;
                     }
-                    self.drain_flushes();
+                    self.drain_flushes(Via::Ipi);
                 }
                 Err(_) => return,
             }
@@ -1594,7 +1483,7 @@ impl Machine {
             Event::Access { va, write } => match self.try_touch(va, write) {
                 Ok(()) => {}
                 Err(AccessError::OutOfMemory) => {
-                    self.chaos_record(
+                    self.record_degradation(
                         DegradationKind::OomSkip,
                         Some(va),
                         "access skipped under frame pressure".to_string(),
@@ -1614,28 +1503,28 @@ impl Machine {
             Event::Munmap { start, len } => {
                 self.os
                     .munmap(&mut self.mem, &mut self.vmm, pid, start, len);
-                self.drain_flushes();
+                self.drain_flushes(Via::Ipi);
                 self.tlb.flush_asid(Asid::from(pid));
                 audit = AuditScope::Range(start, len);
             }
             Event::MarkCow { start, len } => {
                 self.os
                     .mark_region_cow(&mut self.mem, &mut self.vmm, pid, start, len);
-                self.drain_flushes();
+                self.drain_flushes(Via::Ipi);
                 self.tlb.flush_asid(Asid::from(pid));
                 audit = AuditScope::Range(start, len);
             }
             Event::ClockScan { start, len } => {
                 self.os
                     .clock_scan(&mut self.mem, &mut self.vmm, pid, start, len);
-                self.drain_flushes();
+                self.drain_flushes(Via::Ipi);
                 self.tlb.flush_asid(Asid::from(pid));
                 audit = AuditScope::Range(start, len);
             }
             Event::ContextSwitch { to } => {
                 let target = self.ensure_proc(to);
                 self.os.context_switch(&mut self.mem, &mut self.vmm, target);
-                self.drain_flushes();
+                self.drain_flushes(Via::Ipi);
                 audit = AuditScope::Full;
             }
             Event::Tick => {
@@ -1651,7 +1540,7 @@ impl Machine {
                     && self.scheduler.is_some()
                     && self.schedule(crate::explore::ChoicePoint::SwitchTiming, 2) == 1;
                 if postpone {
-                    self.drain_flushes();
+                    self.drain_flushes(Via::Ipi);
                 } else {
                     // Technique switches happen inside interval_tick;
                     // bracket it with the two-state differ under paranoia
@@ -1664,7 +1553,7 @@ impl Machine {
                     let misses = self.tlb.stats().misses - self.hot.misses_at_last_tick;
                     self.hot.misses_at_last_tick = self.tlb.stats().misses;
                     self.vmm.interval_tick(&mut self.mem, misses);
-                    self.drain_flushes();
+                    self.drain_flushes(Via::Ipi);
                     if let Some(before) = before {
                         let after =
                             snapshot::TransitionView::capture_parts(&self.mem, &self.vmm, &self.os);
@@ -2196,6 +2085,104 @@ mod tests {
             bytes,
             "re-snapshot is identical"
         );
+    }
+
+    /// The chaos dice position: the first field [`ChaosState::save_state`]
+    /// writes into the snapshot.
+    fn dice_state(m: &Machine) -> u64 {
+        let mut e = Enc::new();
+        m.chaos.as_ref().expect("chaos armed").save_state(&mut e);
+        Dec::new(&e.into_bytes()).u64().expect("dice state")
+    }
+
+    /// The shootdown fates (drop, deferral, cross-VM loss) of the
+    /// degradation events `op` records, runs of one fate collapsed.
+    fn fates_of(m: &mut Machine, op: impl FnOnce(&mut Machine)) -> Vec<DegradationKind> {
+        use DegradationKind::{CrossVmShootdownLoss, DeferredShootdown, DroppedShootdown};
+        m.take_degradation_events();
+        op(m);
+        let mut fates = m.take_degradation_events();
+        fates.retain(|e| {
+            [DroppedShootdown, DeferredShootdown, CrossVmShootdownLoss].contains(&e.kind)
+        });
+        fates.dedup_by_key(|e| e.kind);
+        fates.into_iter().map(|e| e.kind).collect()
+    }
+
+    #[test]
+    fn each_drain_channel_rolls_only_its_own_dice() {
+        // (plan, the only fate an IPI drain may record, the only fate a
+        // cross-VM drain may record)
+        let cases = [
+            (
+                FaultPlan::new(0xC1).drop_shootdowns(1000),
+                DegradationKind::DroppedShootdown,
+                None,
+            ),
+            (
+                FaultPlan::new(0xC2)
+                    .drop_cross_vm_shootdowns(1000)
+                    .defer_shootdowns(1000, 1 << 30),
+                DegradationKind::DeferredShootdown,
+                Some(DegradationKind::CrossVmShootdownLoss),
+            ),
+        ];
+        for (plan, ipi, cross_vm) in cases {
+            let mut m = Machine::new(SystemConfig::new(Technique::Shadow));
+            m.run_spec(&small_spec(2_000));
+            let pid = m.current_pid();
+            let vma = m.vmas_of(pid)[0];
+            let at = m.accesses();
+            m.enable_chaos(plan.scenario(at, ScenarioKind::HostMerge { pages: 8 }));
+
+            // The first access fires the host merge (a reliable drain).
+            // Writes then break the sharing: each EPT copy-on-write sends
+            // its `NtlbFrame` through an IPI drain, where every scoped
+            // request is dropped or deferred but the synchronous
+            // nested-TLB invalidation always lands.
+            m.touch(vma.start, false).expect("inside the VMA");
+            let ntlb_ops = m.flush_stats.ntlb_ops;
+            let fates = fates_of(&mut m, |m| {
+                for va in (vma.start..vma.end()).step_by(0x1000) {
+                    m.touch(va, true).expect("inside the VMA");
+                }
+            });
+            assert_eq!(fates, [ipi], "copy-on-write breaks");
+            assert!(m.flush_stats.ntlb_ops > ntlb_ops, "NtlbFrame delivered");
+
+            // Reliable: spawning, switching, and healing a planted stale
+            // translation (whose shadow rebuild flushes its range) deliver
+            // without a single roll.
+            let (dice, requests) = (dice_state(&m), m.flush_stats.requests);
+            let fates = fates_of(&mut m, |m| {
+                let other = m.spawn_process();
+                m.switch_to(other);
+                m.switch_to(pid);
+                let stale =
+                    TlbEntry::new(HostFrame::new(0xbad), agile_types::PageSize::Size4K, false);
+                m.plant_tlb_entry(Asid::from(pid), vma.start, stale);
+                assert!(m.heal_stale_caches().is_empty(), "healed");
+            });
+            assert!(fates.is_empty(), "reliable drains lose nothing: {fates:?}");
+            assert_eq!(dice_state(&m), dice, "reliable drains roll no dice");
+            assert!(m.flush_stats.requests > requests, "the heal flushed");
+
+            // IPI: a workload munmap.
+            let fates = fates_of(&mut m, |m| {
+                m.run_event(Event::Munmap {
+                    start: vma.start,
+                    len: 16 << 12,
+                });
+            });
+            assert_eq!(fates, [ipi], "workload munmap");
+
+            // Cross-VM: host teardown and balloon reclaim.
+            let fates = fates_of(&mut m, |m| {
+                m.host_munmap(pid, vma.start + (16 << 12), 16 << 12);
+                m.host_reclaim(1);
+            });
+            assert_eq!(fates, Vec::from_iter(cross_vm), "host operations");
+        }
     }
 
     #[test]

@@ -17,11 +17,16 @@
 //!    exercises the `DeferredDelivery` choice point and stays clean
 //!    (every injected fault healed), proving scheduler and chaos dice
 //!    compose.
+//! 6. **Zero-answer equivalence** — a scheduler that always answers 0 is
+//!    the production schedule: snapshot bytes (shootdown log included)
+//!    and degradation events equal the unscheduled run's, under chaos
+//!    drop/defer dice, a reliable host-merge drain, and a cross-VM one.
 
 use agile_core::{
     bisect_violation, bisect_violation_with, explore, replay, AgileOptions, CheckpointRing,
-    ChurnSpec, CounterexampleTrace, Cursor, ExploreConfig, FaultPlan, Finding, FindingCode,
-    Machine, Pattern, ScenarioKind, ShspOptions, SystemConfig, Technique, WorkloadSpec,
+    ChoicePoint, ChurnSpec, CounterexampleTrace, Cursor, DegradationKind, ExploreConfig, FaultPlan,
+    Finding, FindingCode, Machine, Pattern, ScenarioKind, Scheduler, ShspOptions, SystemConfig,
+    Technique, WorkloadSpec,
 };
 
 /// Runs `spec` on `machine` while keeping its last four per-tick
@@ -327,4 +332,75 @@ fn chaos_deferred_exploration_composes_and_heals() {
         report.schedules > 1,
         "deferred delivery must branch the schedule tree"
     );
+}
+
+/// Answers 0 at every choice point: the schedule the explorer's docs
+/// call "the production schedule".
+#[derive(Debug)]
+struct AlwaysZero;
+
+impl Scheduler for AlwaysZero {
+    fn choose(&mut self, _point: ChoicePoint, _alternatives: u32) -> u32 {
+        0
+    }
+}
+
+#[test]
+fn zero_answer_scheduler_is_the_production_schedule() {
+    let mut spec = spec("zero", 23);
+    spec.footprint = 4 << 20;
+    spec.accesses = 2_000;
+    spec.accesses_per_tick = 250;
+    spec.churn.clock_scan_every = Some(400);
+    spec.churn.scan_pages = 16;
+    let plan = FaultPlan::new(0x2E40)
+        .drop_shootdowns(50)
+        .defer_shootdowns(50, 8)
+        .drop_cross_vm_shootdowns(300)
+        .scenario(700, ScenarioKind::HostMerge { pages: 8 });
+    for t in all_techniques() {
+        let run = |scheduled: bool| {
+            let mut m = Machine::new(SystemConfig::new(t));
+            m.enable_chaos(plan.clone());
+            if scheduled {
+                m.set_scheduler(Box::new(AlwaysZero));
+            }
+            m.run_spec(&spec);
+            m.host_reclaim(1);
+            let log = m.shootdown_log().expect("chaos logs the protocol").len();
+            (
+                m.snapshot().to_bytes(),
+                m.degradation_events().to_vec(),
+                log,
+            )
+        };
+        let (plain, plain_events, log_len) = run(false);
+        let (scheduled, scheduled_events, _) = run(true);
+        assert!(log_len > 0, "{}: no shootdown traffic", t.label());
+        // Every delivery channel and fate took part: IPI drops and
+        // deferrals, cross-VM losses, and the reliable host-merge drain.
+        for kind in [
+            DegradationKind::DroppedShootdown,
+            DegradationKind::DeferredShootdown,
+            DegradationKind::CrossVmShootdownLoss,
+            DegradationKind::InjectedFault,
+        ] {
+            assert!(
+                plain_events.iter().any(|e| e.kind == kind),
+                "{}: no {kind:?} event",
+                t.label()
+            );
+        }
+        assert_eq!(
+            scheduled_events,
+            plain_events,
+            "{}: degradation events differ under the zero scheduler",
+            t.label()
+        );
+        assert!(
+            scheduled == plain,
+            "{}: snapshot bytes differ under the zero scheduler",
+            t.label()
+        );
+    }
 }

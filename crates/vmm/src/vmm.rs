@@ -1414,7 +1414,14 @@ impl Vmm {
     /// Writes later break the sharing with a host-level copy-on-write: a
     /// fresh private frame is mapped back, costing an EPT-violation VMexit
     /// (plus, in shadow mode, the shadow-leaf rebuild).
+    ///
+    /// A native machine has no host layer, so nothing is shared and 0 is
+    /// returned. (Dropping its merged leaf would leave a hole no fault
+    /// path refills: the guest sees its own entry present.)
     pub fn host_share(&mut self, mem: &mut PhysMem, pid: ProcessId, gvas: &[u64]) -> u64 {
+        if matches!(self.cfg.technique, Technique::Native) {
+            return 0;
+        }
         let mut canonical: Option<HostFrame> = None;
         let mut reclaimed = 0;
         for gva in gvas {

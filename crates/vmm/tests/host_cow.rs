@@ -165,6 +165,26 @@ fn write_breaks_sharing_with_an_ept_cow() {
 }
 
 #[test]
+fn host_share_is_a_no_op_natively() {
+    // A native machine has no host layer. Sharing used to drop the merged
+    // leaf, which no fault path refills (the guest sees its own entry
+    // present), so the next access never converged.
+    let mut rig = setup(Technique::Native);
+    let gvas: Vec<u64> = (0..4).map(|i| GVA + i * 0x1000).collect();
+    let before: Vec<_> = gvas
+        .iter()
+        .map(|g| rig.access(*g, AccessKind::Read).unwrap().frame)
+        .collect();
+    assert_eq!(rig.vmm.host_share(&mut rig.mem, rig.pid, &gvas), 0);
+    assert!(rig.vmm.take_pending_flushes().is_empty());
+    let after: Vec<_> = gvas
+        .iter()
+        .map(|g| rig.access(*g, AccessKind::Read).unwrap().frame)
+        .collect();
+    assert_eq!(after, before, "translations are unchanged");
+}
+
+#[test]
 fn host_share_under_pure_nested_still_emits_the_gva_shootdown() {
     // Regression: with no shadow table (pure nested mode, `proc.spt` is
     // None), the shadow-leaf drop path used to early-return without
