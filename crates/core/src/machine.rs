@@ -17,7 +17,7 @@ use agile_types::{
     AccessKind, Asid, CodecError, Dec, Enc, Fault, GuestVirtAddr, HostFrame, Level, Persist,
     ProcessId, PteFlags, VmId,
 };
-use agile_vmm::{coalesce, FaultOutcome, FlushRequest, HwRoots, Technique, Vmm};
+use agile_vmm::{coalesce, FaultOutcome, FlushRequest, GuestFlush, HwRoots, Technique, Vmm};
 use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
 use agile_workloads::{Event, Workload, WorkloadSpec};
 use std::ops::ControlFlow;
@@ -1123,7 +1123,8 @@ impl Machine {
                             // table page, so the next store traps again —
                             // this is the adversarial pattern the KVM-style
                             // leaf unsync cannot absorb.
-                            self.vmm.guest_invlpg(&mut self.mem, pid, va);
+                            self.vmm
+                                .guest_tlb_flush(&mut self.mem, pid, GuestFlush::Page(va));
                         }
                     }
                 }
@@ -1789,7 +1790,7 @@ impl Machine {
     }
 
     /// Serializes all simulated state in declaration order. The encoding
-    /// is the deterministic codec of [`agile_types::codec`]; cooperative
+    /// is the deterministic [`agile_types::Persist`] codec; cooperative
     /// control-plane state (the scheduler, and the run hooks of
     /// [`Machine::drive`]) is deliberately excluded — it belongs to the
     /// worker, not the simulation.

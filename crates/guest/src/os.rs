@@ -5,7 +5,7 @@ use agile_mem::PhysMem;
 use agile_types::{
     AccessKind, CodecError, Dec, Enc, GuestFrame, Level, PageSize, Persist, ProcessId, PteFlags,
 };
-use agile_vmm::Vmm;
+use agile_vmm::{GuestFlush, Vmm};
 use std::collections::{BTreeMap, HashMap};
 
 /// A guest-visible segmentation violation: access outside any VMA or a
@@ -348,7 +348,7 @@ impl GuestOs {
             }
         }
         if !overlapping.is_empty() {
-            vmm.guest_tlb_flush(mem, pid);
+            vmm.guest_tlb_flush(mem, pid, GuestFlush::All);
         }
     }
 
@@ -478,7 +478,7 @@ impl GuestOs {
                     vmm.gpt_update(mem, pid, gva, level, |p| {
                         agile_types::Pte::new(fresh.raw(), p.flags().union(PteFlags::WRITABLE))
                     });
-                    vmm.guest_invlpg(mem, pid, gva);
+                    vmm.guest_tlb_flush(mem, pid, GuestFlush::Page(gva));
                     Ok(())
                 } else {
                     // Spurious fault (e.g. raced with VMM fixup): nothing to
@@ -533,7 +533,7 @@ impl GuestOs {
             if let Some((pte, level)) = vmm.gpt_lookup(mem, pid, va) {
                 if level == Level::L1 && pte.is_writable() {
                     vmm.gpt_update(mem, pid, va, level, |p| p.without_flags(PteFlags::WRITABLE));
-                    vmm.guest_invlpg(mem, pid, va);
+                    vmm.guest_tlb_flush(mem, pid, GuestFlush::Page(va));
                     self.stats.cow_marked += 1;
                 }
                 va += pte.leaf_size(level).expect("leaf").bytes();
@@ -585,7 +585,7 @@ impl GuestOs {
             }
         }
         if reclaimed > 0 {
-            vmm.guest_tlb_flush(mem, pid);
+            vmm.guest_tlb_flush(mem, pid, GuestFlush::All);
         }
         self.stats.pages_reclaimed += reclaimed;
         reclaimed

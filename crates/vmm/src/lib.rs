@@ -8,11 +8,16 @@
 //! discussed in Section VII-C).
 //!
 //! Everything the guest OS does to its page table flows through [`Vmm`]
-//! mediation methods ([`Vmm::gpt_map`], [`Vmm::gpt_unmap`],
-//! [`Vmm::gpt_update`], …). That mirrors the real interception boundary:
-//! under shadow paging those writes hit write-protected pages and cost
-//! VMtraps; under nested paging (or agile paging's nested parts) they are
-//! direct and free. The accounting difference between the techniques is
+//! mediation methods: PTE writes and A/D clears ([`Vmm::gpt_map`],
+//! [`Vmm::gpt_unmap`], [`Vmm::gpt_update`]), CR3 writes
+//! ([`Vmm::guest_context_switch`]) and TLB flushes ([`Vmm::guest_tlb_flush`]
+//! with a [`GuestFlush`]). Each asks one decision, which mirrors the real
+//! interception boundary of the paper's Table I. Native has no hypervisor.
+//! A nested region (nested paging, a fully nested process, or agile
+//! paging's nested subtrees) is direct: the hardware handles the operation
+//! and nothing exits. A shadowed region exits to the VMM: writes hit
+//! write-protected pages, and CR3 writes and flushes trap so the VMM can
+//! resynchronize. The accounting difference between the techniques is
 //! therefore produced by the same mechanism the paper describes, not wired
 //! in by hand.
 //!
@@ -47,4 +52,4 @@ pub use flush::{coalesce, CoalesceStats, CoalescedRange, FlushBatch, TLB_RANGE_S
 pub use proc::{GptPageInfo, GptPageMode, HwRoots};
 pub use shsp::{ShspController, ShspMode};
 pub use traps::{VmtrapCosts, VmtrapKind, VmtrapStats};
-pub use vmm::{FaultOutcome, FlushRequest, Vmm, VmmCounters};
+pub use vmm::{FaultOutcome, FlushRequest, GuestFlush, Vmm, VmmCounters};

@@ -57,6 +57,20 @@ impl Persist for GptPageMode {
     }
 }
 
+impl GptPageInfo {
+    /// A page the VMM starts tracking: no writes counted yet, and nothing
+    /// in the shadow table derived from it.
+    pub(crate) fn new(level: Level, va_base: u64, mode: GptPageMode) -> Self {
+        GptPageInfo {
+            level,
+            va_base,
+            mode,
+            writes_this_interval: 0,
+            shadowed: false,
+        }
+    }
+}
+
 impl Persist for GptPageInfo {
     fn save(&self, e: &mut Enc) {
         self.level.save(e);

@@ -1,7 +1,7 @@
 //! The VMM proper: interception, shadow synchronization, agile mode
 //! management, and fault handling.
 
-use crate::config::{NestedToShadowPolicy, Technique, VmmConfig};
+use crate::config::{AgileOptions, NestedToShadowPolicy, Technique, VmmConfig};
 use crate::proc::{GptPageInfo, GptPageMode, HwRoots, ProcState};
 use crate::shsp::{ShspController, ShspMode};
 use crate::traps::{VmtrapKind, VmtrapStats};
@@ -148,6 +148,43 @@ impl Persist for VmmCounters {
             storm_fallbacks: d.u64()?,
         })
     }
+}
+
+/// What a guest TLB flush ([`Vmm::guest_tlb_flush`]) covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GuestFlush {
+    /// `invlpg`: the page translating this guest virtual address.
+    Page(u64),
+    /// Every entry of the process's address space.
+    All,
+}
+
+/// The part of an address space a guest operation touches.
+#[derive(Debug, Clone, Copy)]
+enum Region {
+    /// The whole space (CR3 write, full flush): only the process-level mode
+    /// decides, so a process whose root alone went nested still exits.
+    Space,
+    /// `gva`'s entry at one level (PTE write, A/D clear).
+    Entry(u64, Level),
+    /// The page translating `gva` (`invlpg`).
+    Page(u64),
+}
+
+/// Who handles a guest page-table operation (paper Table I).
+#[derive(Debug, Clone, Copy)]
+enum Intercept {
+    /// Native: there is no hypervisor to exit to.
+    NoHypervisor,
+    /// A hardware-managed nested region: nothing exits; a write only
+    /// dirties the backing page. `page` is the deciding nested page.
+    Direct { page: Option<GuestFrame> },
+    /// A shadow-managed region: the VMM intercepts (a write only while its
+    /// page is synced and shadowed). `page` is the deciding synced or
+    /// unsynced page, if one decided.
+    Shadowed {
+        page: Option<(GuestFrame, GptPageInfo)>,
+    },
 }
 
 /// The virtual machine monitor for one VM.
@@ -390,8 +427,7 @@ impl Vmm {
     /// shadow engagement). Read-only.
     #[must_use]
     pub fn full_nested(&self, pid: ProcessId) -> bool {
-        matches!(self.cfg.technique, Technique::Nested)
-            || self.procs.get(&pid).is_some_and(|p| p.full_nested)
+        self.procs.get(&pid).is_some_and(|p| p.full_nested)
     }
 
     /// Whether `pid`'s guest root page itself switched to nested mode
@@ -484,13 +520,7 @@ impl Vmm {
         };
         proc.pages.insert(
             GuestFrame::new(proc.gpt.root_raw()),
-            GptPageInfo {
-                level: Level::L4,
-                va_base: 0,
-                mode: root_mode,
-                writes_this_interval: 0,
-                shadowed: false,
-            },
+            GptPageInfo::new(Level::L4, 0, root_mode),
         );
         self.procs.insert(pid, proc);
         if self.current.is_none() {
@@ -525,16 +555,7 @@ impl Vmm {
                     } else {
                         GptPageMode::Synced
                     };
-                    to_add.push((
-                        g,
-                        GptPageInfo {
-                            level,
-                            va_base,
-                            mode,
-                            writes_this_interval: 0,
-                            shadowed: false,
-                        },
-                    ));
+                    to_add.push((g, GptPageInfo::new(level, va_base, mode)));
                     parent_nested = mode == GptPageMode::Nested;
                 }
             }
@@ -648,100 +669,98 @@ impl Vmm {
         new
     }
 
-    /// Whether the process's address space is currently walked fully
-    /// nested (technique nested, SHSP nested phase, or agile pre-shadow).
-    fn is_fully_nested(&self, pid: ProcessId) -> bool {
-        matches!(self.cfg.technique, Technique::Nested) || self.proc(pid).full_nested
+    /// The agile-paging options, when the technique is agile paging.
+    fn agile(&self) -> Option<AgileOptions> {
+        match self.cfg.technique {
+            Technique::Agile(o) => Some(o),
+            _ => None,
+        }
+    }
+
+    /// Whether the walker sets accessed/dirty bits in all three tables
+    /// (agile hardware optimization 1), so shadow leaves need no
+    /// write-protection trick to track the dirty bit.
+    fn hw_ad_bits(&self) -> bool {
+        self.agile().is_some_and(|o| o.hw_ad_bits)
+    }
+
+    /// Which side of the interception boundary a guest operation on
+    /// `region` of `pid`'s address space lands on: paper Table I as one
+    /// decision, asked once per guest operation.
+    fn intercept(&self, mem: &PhysMem, pid: ProcessId, region: Region) -> Intercept {
+        if matches!(self.cfg.technique, Technique::Native) {
+            return Intercept::NoHypervisor;
+        }
+        let proc = self.proc(pid);
+        let (gva, last) = match region {
+            _ if proc.full_nested => return Intercept::Direct { page: None },
+            Region::Space => return Intercept::Shadowed { page: None },
+            Region::Entry(gva, level) => (gva, Some(level)),
+            Region::Page(gva) => (gva, None),
+        };
+        // Walk to the deciding page. An entry walk stops at the written
+        // level and counts a page the VMM has not registered yet as synced
+        // and unshadowed; a page walk takes the deepest tracked page.
+        let mut page = None;
+        for l in Level::top().walk_order() {
+            let Some(f) = proc.gpt.table_frame(mem, &self.gmap, gva, l) else {
+                break;
+            };
+            let g = GuestFrame::new(f);
+            match proc.pages.get(&g) {
+                Some(info) => page = Some((g, *info)),
+                None if last.is_some() => {
+                    page = Some((g, GptPageInfo::new(l, 0, GptPageMode::Synced)));
+                }
+                None => {}
+            }
+            if Some(l) == last {
+                break;
+            }
+        }
+        match page {
+            Some((g, info)) if info.mode == GptPageMode::Nested => {
+                Intercept::Direct { page: Some(g) }
+            }
+            page => Intercept::Shadowed { page },
+        }
     }
 
     /// Central write-interception accounting (see crate docs). Runs
-    /// *before* the edit is applied.
+    /// *before* the edit is applied. The store always lands; it exits to
+    /// the VMM only on a synced page the shadow table derives entries from.
     fn note_gpt_write(&mut self, mem: &mut PhysMem, pid: ProcessId, gva: u64, level: Level) {
         self.counters.gpt_writes_total += 1;
         self.gpt_writes_this_interval += 1;
         if let Some(trace) = self.write_trace.as_mut() {
             trace.push((pid, gva, level));
         }
-        match self.cfg.technique {
-            Technique::Native => {
+        let (page, info) = match self.intercept(mem, pid, Region::Entry(gva, level)) {
+            Intercept::NoHypervisor | Intercept::Shadowed { page: None } => {
                 self.counters.gpt_writes_direct += 1;
                 return;
             }
-            Technique::Nested => {
+            Intercept::Direct { page } => {
+                if let Some(page) = page {
+                    self.count_page_write(pid, page);
+                }
                 self.counters.gpt_writes_direct += 1;
                 self.mark_gpt_page_dirty(mem, pid, gva, level);
                 return;
             }
-            _ => {}
-        }
-        if self.is_fully_nested(pid) {
-            self.counters.gpt_writes_direct += 1;
-            self.mark_gpt_page_dirty(mem, pid, gva, level);
-            return;
-        }
-        // Find the deepest existing guest table page at or above `level`.
-        let proc = self.proc(pid);
-        let mut target: Option<GuestFrame> = None;
-        for l in Level::top().walk_order() {
-            if let Some(f) = proc.gpt.table_frame(mem, &self.gmap, gva, l) {
-                target = Some(GuestFrame::new(f));
-            } else {
-                break;
-            }
-            if l == level {
-                break;
-            }
-        }
-        let Some(page) = target else {
-            self.counters.gpt_writes_direct += 1;
-            return;
+            Intercept::Shadowed { page: Some(page) } => page,
         };
-        let (mode, writes, page_level, shadowed) = {
-            let info = self
-                .procs
-                .get(&pid)
-                .and_then(|p| p.pages.get(&page))
-                .copied()
-                .unwrap_or(GptPageInfo {
-                    level,
-                    va_base: 0,
-                    mode: GptPageMode::Synced,
-                    writes_this_interval: 0,
-                    shadowed: false,
-                });
-            (
-                info.mode,
-                info.writes_this_interval + 1,
-                info.level,
-                info.shadowed,
-            )
-        };
-        if let Some(info) = self
-            .procs
-            .get_mut(&pid)
-            .and_then(|p| p.pages.get_mut(&page))
-        {
-            info.writes_this_interval = writes;
-        }
-        let agile_threshold = match self.cfg.technique {
-            Technique::Agile(o) => Some(o.write_threshold),
-            _ => None,
-        };
-        match mode {
-            GptPageMode::Nested => {
-                self.counters.gpt_writes_direct += 1;
-                self.mark_gpt_page_dirty(mem, pid, gva, level);
-            }
+        let writes = self.count_page_write(pid, page).unwrap_or(1);
+        let nest = self.agile().is_some_and(|o| writes >= o.write_threshold);
+        match info.mode {
             GptPageMode::Unsynced => {
                 self.counters.gpt_writes_direct += 1;
-                if let Some(t) = agile_threshold {
-                    if writes >= t {
-                        self.convert_to_nested(mem, pid, page);
-                        self.mark_gpt_page_dirty(mem, pid, gva, level);
-                    }
+                if nest {
+                    self.convert_to_nested(mem, pid, page);
+                    self.mark_gpt_page_dirty(mem, pid, gva, level);
                 }
             }
-            GptPageMode::Synced if !shadowed => {
+            GptPageMode::Synced if !info.shadowed => {
                 // The shadow table holds nothing derived from this page, so
                 // it is not write-protected: the write is direct, and —
                 // crucially — *undetectable* by the VMM's write-protection
@@ -749,44 +768,48 @@ impl Vmm {
                 // page-table construction therefore never nests a page).
                 self.counters.gpt_writes_direct += 1;
             }
-            GptPageMode::Synced => {
+            _ => {
+                // Synced and shadowed: the page is write-protected.
                 self.trap(VmtrapKind::GptWrite, 1);
-                match agile_threshold {
-                    Some(t) if writes >= t => {
-                        self.convert_to_nested(mem, pid, page);
-                        self.mark_gpt_page_dirty(mem, pid, gva, level);
-                    }
-                    _ => {
-                        if page_level == Level::L1 {
-                            // KVM-style leaf unsync: make the page writable
-                            // and drop its shadow entries until the next
-                            // synchronization point.
-                            self.counters.unsyncs += 1;
-                            if let Some(info) = self
-                                .procs
-                                .get_mut(&pid)
-                                .and_then(|p| p.pages.get_mut(&page))
-                            {
-                                info.mode = GptPageMode::Unsynced;
-                            }
-                            // The shadow entries stay in place (stale is
-                            // architecturally fine until the guest flushes);
-                            // the resynchronization point reconciles them.
-                        } else {
-                            // Interior edit: invalidate the shadow subtree
-                            // at the written entry; it resyncs lazily.
-                            let proc = self.procs.get_mut(&pid).expect("unknown process");
-                            if let Some(spt) = proc.spt {
-                                spt.zap_subtree(mem, &mut HostSpace, gva, page_level);
-                            }
-                            // The page stays shadowed: the shadow table
-                            // still derives its *other* entries from it.
-                        }
-                        self.flush_range(pid, gva, page_level);
-                    }
+                if nest {
+                    self.convert_to_nested(mem, pid, page);
+                    self.mark_gpt_page_dirty(mem, pid, gva, level);
+                    return;
                 }
+                if info.level == Level::L1 {
+                    // KVM-style leaf unsync: make the page writable and drop
+                    // its shadow entries until the next synchronization
+                    // point.
+                    self.counters.unsyncs += 1;
+                    if let Some(i) = self
+                        .procs
+                        .get_mut(&pid)
+                        .and_then(|p| p.pages.get_mut(&page))
+                    {
+                        i.mode = GptPageMode::Unsynced;
+                    }
+                    // The shadow entries stay in place (stale is
+                    // architecturally fine until the guest flushes); the
+                    // resynchronization point reconciles them.
+                } else if let Some(spt) = self.proc(pid).spt {
+                    // Interior edit: invalidate the shadow subtree at the
+                    // written entry; it resyncs lazily. The page stays
+                    // shadowed: the shadow table still derives its *other*
+                    // entries from it.
+                    spt.zap_subtree(mem, &mut HostSpace, gva, info.level);
+                }
+                self.flush_range(pid, gva, info.level);
             }
         }
+    }
+
+    /// Counts one guest store to a tracked guest table page for the
+    /// paper's bimodal write detector. Returns the interval's count, or
+    /// `None` for a page the VMM does not track.
+    fn count_page_write(&mut self, pid: ProcessId, page: GuestFrame) -> Option<u32> {
+        let info = self.procs.get_mut(&pid)?.pages.get_mut(&page)?;
+        info.writes_this_interval += 1;
+        Some(info.writes_this_interval)
     }
 
     /// Software equivalent of hardware dirtying the backing page of a guest
@@ -1150,7 +1173,7 @@ impl Vmm {
         let eff = guest_size.min(host_size);
         let eff_offset = va_gframe.raw() % eff.base_pages();
         let hframe = HostFrame::new(host_frame_4k.raw() - eff_offset);
-        let hw_ad = matches!(self.cfg.technique, Technique::Agile(o) if o.hw_ad_bits);
+        let hw_ad = self.hw_ad_bits();
         // Dirty-bit tracking trick: without the hardware A/D optimization,
         // the shadow leaf starts read-only unless the guest dirty bit is
         // already set, so the first write traps and the VMM can set D. A
@@ -1198,8 +1221,6 @@ impl Vmm {
         while let Some(p) = stack.pop() {
             let host = self.gmap.resolve(p.raw());
             let Some(tp) = mem.table(host) else { continue };
-            let level = Level::L4; // placeholder; we use table_gframes to filter
-            let _ = level;
             for (_, pte) in tp.present_entries() {
                 if pte.is_huge() {
                     continue;
@@ -1277,7 +1298,7 @@ impl Vmm {
     /// technique is not agile, the process is unknown, or it is already
     /// running nested from the root.
     pub fn demote_to_nested(&mut self, mem: &mut PhysMem, pid: ProcessId) -> bool {
-        let Technique::Agile(opts) = self.cfg.technique else {
+        let Some(opts) = self.agile() else {
             return false;
         };
         let Some(proc) = self.procs.get(&pid) else {
@@ -1358,7 +1379,7 @@ impl Vmm {
         let Some(spt) = self.proc(pid).spt else {
             return;
         };
-        let hw_ad = matches!(self.cfg.technique, Technique::Agile(o) if o.hw_ad_bits);
+        let hw_ad = self.hw_ad_bits();
         for i in 0..agile_types::ENTRIES_PER_TABLE as u64 {
             let va = info.va_base + i * PageSize::Size4K.bytes();
             let Some(g) = self.proc(pid).gpt.entry(mem, &self.gmap, va, Level::L1) else {
@@ -1618,24 +1639,15 @@ impl Vmm {
     // Context switches and TLB flush interception
     // ------------------------------------------------------------------
 
-    /// Guest writes its page-table pointer register to schedule `to`.
+    /// Guest writes its page-table pointer register to schedule `to`. The
+    /// hardware always switches; the write exits to the VMM only while `to`
+    /// is shadow-managed.
     pub fn guest_context_switch(&mut self, mem: &mut PhysMem, to: ProcessId) {
         assert!(self.procs.contains_key(&to), "unknown process");
-        let from = self.current;
-        self.current = Some(to);
-        match self.cfg.technique {
-            Technique::Native | Technique::Nested => return,
-            Technique::Shsp(_)
-                if self
-                    .shsp
-                    .as_ref()
-                    .is_some_and(|c| c.mode() == ShspMode::Nested) =>
-            {
-                return;
-            }
-            Technique::Agile(_) if self.proc(to).full_nested => return,
-            _ => {}
-        }
+        let from = self.current.replace(to);
+        let Intercept::Shadowed { .. } = self.intercept(mem, to, Region::Space) else {
+            return;
+        };
         // Resync the outgoing process's unsynced pages (a CR3 write is an
         // architectural synchronization point).
         if let Some(f) = from {
@@ -1654,48 +1666,20 @@ impl Vmm {
         self.trap(VmtrapKind::ContextSwitch, 1);
     }
 
-    /// Guest executes a targeted `invlpg` for `gva`. The VMM must intercept
-    /// it only when the covered region has shadow-derived state to keep
-    /// consistent; for a region in agile nested mode the hardware-managed
-    /// TLB needs no VMM help, exactly as under pure nested paging (this is
-    /// a key source of agile paging's copy-on-write win, paper Section V).
-    pub fn guest_invlpg(&mut self, mem: &mut PhysMem, pid: ProcessId, gva: u64) {
-        match self.cfg.technique {
-            Technique::Native | Technique::Nested => return,
-            _ if self.is_fully_nested(pid) => return,
-            Technique::Agile(_) => {
-                // Deepest tracked page covering gva decides the mode.
-                let proc = self.proc(pid);
-                let mut mode = None;
-                for l in Level::top().walk_order() {
-                    match proc.gpt.table_frame(mem, &self.gmap, gva, l) {
-                        Some(f) => {
-                            if let Some(i) = proc.pages.get(&GuestFrame::new(f)) {
-                                mode = Some(i.mode);
-                            }
-                        }
-                        None => break,
-                    }
-                }
-                if mode == Some(GptPageMode::Nested) {
-                    return;
-                }
-            }
-            _ => {}
-        }
-        self.trap(VmtrapKind::TlbFlush, 1);
-        self.resync_unsynced(mem, pid);
-        self.flush_asid(pid);
-    }
-
-    /// Guest flushes its TLB (full flush or `invlpg`). Under shadow-style
-    /// techniques this traps so the VMM can resynchronize unsynced pages.
-    pub fn guest_tlb_flush(&mut self, mem: &mut PhysMem, pid: ProcessId) {
-        match self.cfg.technique {
-            Technique::Native | Technique::Nested => return,
-            _ if self.is_fully_nested(pid) => return,
-            _ => {}
-        }
+    /// Guest flushes TLB entries of `pid`: one page (`invlpg`) or all of
+    /// them. The VMM intercepts only where the covered region has
+    /// shadow-derived state to keep consistent, so it can resynchronize
+    /// unsynced pages; for a region in nested mode the hardware-managed
+    /// TLB needs no VMM help, exactly as under pure nested paging (a key
+    /// source of agile paging's copy-on-write win, paper Section V).
+    pub fn guest_tlb_flush(&mut self, mem: &mut PhysMem, pid: ProcessId, flush: GuestFlush) {
+        let region = match flush {
+            GuestFlush::Page(gva) => Region::Page(gva),
+            GuestFlush::All => Region::Space,
+        };
+        let Intercept::Shadowed { .. } = self.intercept(mem, pid, region) else {
+            return;
+        };
         self.trap(VmtrapKind::TlbFlush, 1);
         self.resync_unsynced(mem, pid);
         self.flush_asid(pid);
@@ -1705,13 +1689,16 @@ impl Vmm {
     /// place with the guest table (KVM-style sync: stale entries are fixed
     /// or dropped inside the trap; no refault storm follows).
     fn resync_unsynced(&mut self, mem: &mut PhysMem, pid: ProcessId) {
-        let unsynced: Vec<GuestFrame> = self
+        // Frame order, not map order: reconciling can allocate host-table
+        // frames, so iteration order shapes frame numbers.
+        let mut unsynced: Vec<GuestFrame> = self
             .proc(pid)
             .pages
             .iter()
             .filter(|(_, i)| i.mode == GptPageMode::Unsynced)
             .map(|(g, _)| *g)
             .collect();
+        unsynced.sort_unstable_by_key(|g| g.raw());
         for page in unsynced {
             self.counters.resyncs += 1;
             self.reconcile_page(mem, pid, page);
@@ -1738,7 +1725,7 @@ impl Vmm {
         let Some(spt) = self.proc(pid).spt else {
             return;
         };
-        let hw_ad = matches!(self.cfg.technique, Technique::Agile(o) if o.hw_ad_bits);
+        let hw_ad = self.hw_ad_bits();
         for i in 0..agile_types::ENTRIES_PER_TABLE as u64 {
             let va = info.va_base + i * PageSize::Size4K.bytes();
             let Some(spte) = spt.entry(mem, &HostSpace, va, Level::L1) else {

@@ -5,8 +5,8 @@ use agile_mem::PhysMem;
 use agile_tlb::{NestedTlb, PageWalkCaches, PwcConfig};
 use agile_types::{AccessKind, Asid, Fault, Level, PageSize, ProcessId, PteFlags, VmId};
 use agile_vmm::{
-    AgileOptions, FaultOutcome, GptPageMode, HwRoots, NestedToShadowPolicy, ShspMode, Technique,
-    Vmm, VmmConfig, VmtrapKind,
+    AgileOptions, FaultOutcome, GptPageMode, GuestFlush, HwRoots, NestedToShadowPolicy, ShspMode,
+    Technique, Vmm, VmmConfig, VmtrapKind,
 };
 use agile_walk::{WalkHw, WalkKind, WalkOk, WalkStats};
 
@@ -152,7 +152,8 @@ fn shadow_gpt_writes_trap_then_unsync_absorbs() {
     assert_eq!(rig.vmm.counters().unsyncs, 1);
     // A guest TLB flush resyncs the page in place: it is write-protected
     // again, so the next update traps immediately.
-    rig.vmm.guest_tlb_flush(&mut rig.mem, rig.pid);
+    rig.vmm
+        .guest_tlb_flush(&mut rig.mem, rig.pid, GuestFlush::All);
     assert_eq!(rig.traps(VmtrapKind::TlbFlush), 1);
     assert_eq!(rig.vmm.counters().resyncs, 1);
     rig.map_page(GVA + 0x3000);
@@ -310,22 +311,6 @@ fn agile_start_in_nested_engages_shadow_after_interval() {
     rig.access(GVA, AccessKind::Read).unwrap();
     let r = rig.access(GVA, AccessKind::Read).unwrap();
     assert_eq!(r.kind, WalkKind::FullShadow);
-}
-
-#[test]
-fn context_switch_costs_depend_on_technique() {
-    for technique in [Technique::Native, Technique::Nested] {
-        let mut rig = Rig::new(technique);
-        let pid2 = ProcessId::new(2);
-        rig.vmm.create_process(&mut rig.mem, pid2);
-        rig.vmm.guest_context_switch(&mut rig.mem, pid2);
-        assert_eq!(rig.traps(VmtrapKind::ContextSwitch), 0);
-    }
-    let mut rig = Rig::new(Technique::Shadow);
-    let pid2 = ProcessId::new(2);
-    rig.vmm.create_process(&mut rig.mem, pid2);
-    rig.vmm.guest_context_switch(&mut rig.mem, pid2);
-    assert_eq!(rig.traps(VmtrapKind::ContextSwitch), 1);
 }
 
 #[test]
